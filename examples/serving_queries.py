@@ -61,11 +61,11 @@ def main() -> None:
     lock = threading.Lock()
 
     def client_thread(requests) -> None:
-        client = ServiceClient("127.0.0.1", server.port)
-        for query in requests:
-            response = client.query("karate", query)
-            with lock:
-                responses.append((query, response))
+        with ServiceClient("127.0.0.1", server.port) as client:
+            for query in requests:
+                response = client.query("karate", query)
+                with lock:
+                    responses.append((query, response))
 
     threads = [
         threading.Thread(target=client_thread, args=(workload[i::3],))
@@ -76,7 +76,8 @@ def main() -> None:
     for thread in threads:
         thread.join()
 
-    stats = ServiceClient("127.0.0.1", server.port).stats()
+    with ServiceClient("127.0.0.1", server.port) as client:
+        stats = client.stats()
     print(f"{len(responses)} responses from 3 concurrent clients")
     print(f"cache: {stats['cache']['hits']} hits / "
           f"{stats['cache']['misses']} misses "

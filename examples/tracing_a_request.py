@@ -54,44 +54,44 @@ def main() -> None:
     print(f"serving on http://{server.address}\n")
 
     try:
-        client = ServiceClient("127.0.0.1", server.port)
-        query = KTerminalQuery(terminals=(1, 34))
+        with ServiceClient("127.0.0.1", server.port) as client:
+            query = KTerminalQuery(terminals=(1, 34))
 
-        # --- 1. A traced cache miss: the full evaluation timeline -------
-        traced = client.query(
-            "karate", query, timings=True, trace_id="cafe0123cafe0123"
-        )
-        print("traced cache miss (full evaluation):")
-        print_timeline(traced.raw["timings"])
-        print()
+            # --- 1. A traced cache miss: the full evaluation timeline -------
+            traced = client.query(
+                "karate", query, timings=True, trace_id="cafe0123cafe0123"
+            )
+            print("traced cache miss (full evaluation):")
+            print_timeline(traced.raw["timings"])
+            print()
 
-        # --- 2. The same query again: a cache hit's timeline ------------
-        hit = client.query("karate", query, timings=True)
-        print(f"traced cache hit (cached={hit.cached}):")
-        print_timeline(hit.raw["timings"])
-        print()
+            # --- 2. The same query again: a cache hit's timeline ------------
+            hit = client.query("karate", query, timings=True)
+            print(f"traced cache hit (cached={hit.cached}):")
+            print_timeline(hit.raw["timings"])
+            print()
 
-        # --- 3. Tracing never changes the answer -------------------------
-        plain = client.query("karate", query)
-        assert "timings" not in plain.raw
-        assert plain.checksum == traced.checksum == hit.checksum
-        print(f"checksum {plain.checksum[:16]}… identical traced or not\n")
+            # --- 3. Tracing never changes the answer -------------------------
+            plain = client.query("karate", query)
+            assert "timings" not in plain.raw
+            assert plain.checksum == traced.checksum == hit.checksum
+            print(f"checksum {plain.checksum[:16]}… identical traced or not\n")
 
-        # --- 4. What the requests left behind in /metrics ----------------
-        samples, _, _ = parse_prometheus_text(client.metrics())
-        print("a few of the Prometheus series on GET /metrics:")
-        show = (
-            "repro_http_request_seconds_count",
-            "repro_service_requests_total",
-            "repro_service_cache_hits_total",
-            "repro_service_engine_evaluations_total",
-            "repro_coalesce_batch_size_count",
-        )
-        for name, labels, value in samples:
-            if name in show:
-                inner = ",".join(f'{k}="{v}"' for k, v in sorted(labels.items()))
-                suffix = f"{{{inner}}}" if inner else ""
-                print(f"  {name}{suffix} = {value:g}")
+            # --- 4. What the requests left behind in /metrics ----------------
+            samples, _, _ = parse_prometheus_text(client.metrics())
+            print("a few of the Prometheus series on GET /metrics:")
+            show = (
+                "repro_http_request_seconds_count",
+                "repro_service_requests_total",
+                "repro_service_cache_hits_total",
+                "repro_service_engine_evaluations_total",
+                "repro_coalesce_batch_size_count",
+            )
+            for name, labels, value in samples:
+                if name in show:
+                    inner = ",".join(f'{k}="{v}"' for k, v in sorted(labels.items()))
+                    suffix = f"{{{inner}}}" if inner else ""
+                    print(f"  {name}{suffix} = {value:g}")
     finally:
         server.close()
         service.close()

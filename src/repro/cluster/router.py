@@ -52,36 +52,22 @@ from repro.exceptions import ClusterError
 from repro.cluster.ring import HashRing
 from repro.cluster.supervisor import ReplicaSupervisor
 from repro.obs import bridge, get_registry
-from repro.obs.metrics import (
-    MetricsRegistry,
-    PROMETHEUS_CONTENT_TYPE,
-    parse_prometheus_text,
-)
+from repro.obs.metrics import MetricsRegistry, parse_prometheus_text
 from repro.obs.trace import TRACE_HEADER, new_trace, parse_header
+from repro.service.http import (
+    IO_TIMEOUT,
+    BadRequest,
+    HttpServer,
+    Request,
+    UpstreamPool,
+    json_body,
+    timed,
+)
 
 __all__ = ["Router", "RouterStats"]
 
-_REASONS = {
-    200: "OK",
-    400: "Bad Request",
-    404: "Not Found",
-    405: "Method Not Allowed",
-    500: "Internal Server Error",
-    502: "Bad Gateway",
-    503: "Service Unavailable",
-}
-
-#: Per-connection read timeout (seconds) on the client side of the router.
-_IO_TIMEOUT = 30.0
-
-#: Largest request body the router will buffer (mirrors the service).
-MAX_BODY_BYTES = 8 * 1024 * 1024
-
-#: Paths worth their own latency series; everything else collapses into
-#: one ``path="other"`` label so probes cannot explode the cardinality.
-_METERED_PATHS = frozenset(
-    {"/healthz", "/graphs", "/stats", "/metrics", "/query", "/query_batch", "/update"}
-)
+#: Transport failures of one forward: the replica, not its answer, failed.
+_TRANSPORT_ERRORS = (OSError, asyncio.TimeoutError, asyncio.IncompleteReadError)
 
 
 @dataclass
@@ -99,7 +85,7 @@ class RouterStats:
         return asdict(self)
 
 
-class Router:
+class Router(HttpServer):
     """Route service requests onto a supervised replica pool.
 
     Parameters
@@ -123,6 +109,9 @@ class Router:
         path).  Defaults to the process-global registry.
     """
 
+    _thread_name = "repro-cluster-router"
+    _not_started = ClusterError
+
     def __init__(
         self,
         supervisor: ReplicaSupervisor,
@@ -137,104 +126,29 @@ class Router:
             raise ClusterError(
                 f"route_by must be 'query' or 'graph', got {route_by!r}"
             )
+        self._registry = registry if registry is not None else get_registry()
+        super().__init__(
+            host,
+            port,
+            self._registry,
+            ("repro_router_request_seconds", "Router front-end latency by path."),
+        )
         self._supervisor = supervisor
-        self._host = host
-        self._requested_port = port
         self._route_by = route_by
         self._forward_timeout = forward_timeout
-        self._registry = registry if registry is not None else get_registry()
-        self._request_seconds = self._registry.histogram(
-            "repro_router_request_seconds",
-            "Router front-end latency by path.",
-            labels=("path",),
-        )
+        self._pool = UpstreamPool(self._registry)
         self._ring = HashRing(supervisor.keys())
         self._stats = RouterStats()
         self._stats_lock = threading.Lock()
         self._fingerprints: Dict[str, str] = {}
-        self._server: Optional[asyncio.AbstractServer] = None
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._thread: Optional[threading.Thread] = None
-        self._port: Optional[int] = None
-
-    # ------------------------------------------------------------------
-    # Lifecycle (mirrors ServiceServer)
-    # ------------------------------------------------------------------
-    @property
-    def host(self) -> str:
-        """The bind host."""
-        return self._host
-
-    @property
-    def port(self) -> int:
-        """The bound port (available once the router has started)."""
-        if self._port is None:
-            raise ClusterError("the router has not been started yet")
-        return self._port
-
-    @property
-    def address(self) -> str:
-        """``host:port`` of the running router."""
-        return f"{self._host}:{self.port}"
 
     def stats(self) -> RouterStats:
         """An independent snapshot of the router's forwarding counters."""
         with self._stats_lock:
             return RouterStats(**asdict(self._stats))
 
-    async def start(self) -> "Router":
-        """Bind and start accepting connections on the running loop."""
-        self._loop = asyncio.get_running_loop()
-        self._server = await asyncio.start_server(
-            self._handle_connection, self._host, self._requested_port
-        )
-        self._port = self._server.sockets[0].getsockname()[1]
-        return self
-
-    def start_background(self) -> "Router":
-        """Run the router on a daemon thread; returns once it is bound."""
-        ready = threading.Event()
-        startup_error: Dict[str, BaseException] = {}
-
-        def _run() -> None:
-            loop = asyncio.new_event_loop()
-            asyncio.set_event_loop(loop)
-            try:
-                loop.run_until_complete(self.start())
-            except BaseException as error:
-                startup_error["error"] = error
-                ready.set()
-                loop.close()
-                return
-            ready.set()
-            try:
-                loop.run_forever()
-            finally:
-                loop.run_until_complete(loop.shutdown_asyncgens())
-                loop.close()
-
-        self._thread = threading.Thread(
-            target=_run, name="repro-cluster-router", daemon=True
-        )
-        self._thread.start()
-        ready.wait()
-        if "error" in startup_error:
-            raise startup_error["error"]
-        return self
-
-    def close(self) -> None:
-        """Stop accepting and stop the loop thread (replicas keep running)."""
-        loop, server = self._loop, self._server
-        if loop is not None and server is not None and loop.is_running():
-
-            def _shutdown() -> None:
-                server.close()
-                loop.stop()
-
-            loop.call_soon_threadsafe(_shutdown)
-        if self._thread is not None:
-            self._thread.join(timeout=10.0)
-            self._thread = None
+    async def _on_shutdown(self) -> None:
+        self._pool.close()
 
     # ------------------------------------------------------------------
     # Placement
@@ -263,10 +177,8 @@ class Router:
         # identical whichever one does.
         for key, endpoint in self._supervisor.live_endpoints().items():  # reprolint: ok(ORD001)
             try:
-                status, payload = await self._http_request(
-                    endpoint, "GET", "/graphs"
-                )
-            except (OSError, asyncio.TimeoutError):
+                status, payload = await self._pool.request(endpoint, "GET", "/graphs")
+            except _TRANSPORT_ERRORS:
                 continue
             if status == 200:
                 self._fingerprints = {
@@ -276,105 +188,22 @@ class Router:
                 return
 
     # ------------------------------------------------------------------
-    # Connection handling (single-request connections, like the service)
-    # ------------------------------------------------------------------
-    async def _handle_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        status, payload = 500, {"error": "internal error"}
-        try:
-            parsed = await asyncio.wait_for(self._read_request(reader), _IO_TIMEOUT)
-        except asyncio.TimeoutError:
-            parsed, status, payload = None, 400, {"error": "request read timed out"}
-        except Exception as error:
-            parsed, status, payload = None, 400, {
-                "error": f"malformed request: {error}"
-            }
-        else:
-            if parsed is None:
-                return
-        if parsed is not None:
-            method, path, body, request_headers = parsed
-            with self._stats_lock:
-                self._stats.requests += 1
-            started = time.perf_counter()
-            try:
-                status, payload = await self._route(
-                    method, path, body, request_headers
-                )
-            except Exception as error:
-                with self._stats_lock:
-                    self._stats.errors += 1
-                status, payload = 500, {
-                    "error": str(error),
-                    "error_type": type(error).__name__,
-                }
-            metered = path.split("?", 1)[0]
-            if metered not in _METERED_PATHS:
-                metered = "other"
-            self._request_seconds.labels(path=metered).observe(
-                time.perf_counter() - started
-            )
-        try:
-            if isinstance(payload, str):
-                blob = payload.encode("utf-8")
-                content_type = PROMETHEUS_CONTENT_TYPE
-            else:
-                blob = json.dumps(payload, default=repr).encode("utf-8")
-                content_type = "application/json"
-            headers = [
-                f"HTTP/1.1 {status} {_REASONS.get(status, 'Unknown')}",
-                f"Content-Type: {content_type}",
-                f"Content-Length: {len(blob)}",
-                "Connection: close",
-            ]
-            writer.write(("\r\n".join(headers) + "\r\n\r\n").encode("ascii") + blob)
-            await writer.drain()
-        except (ConnectionError, asyncio.CancelledError):
-            pass
-        finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, asyncio.CancelledError):
-                pass
-
-    @staticmethod
-    async def _read_request(
-        reader: asyncio.StreamReader,
-    ) -> Optional[Tuple[str, str, bytes, Dict[str, str]]]:
-        request_line = await reader.readline()
-        if not request_line.strip():
-            return None
-        parts = request_line.decode("ascii", "replace").split()
-        if len(parts) < 2:
-            raise ValueError(f"bad request line {request_line!r}")
-        method, path = parts[0].upper(), parts[1]
-        content_length = 0
-        headers: Dict[str, str] = {}
-        while True:
-            line = await reader.readline()
-            if line in (b"\r\n", b"\n", b""):
-                break
-            name, _, value = line.decode("ascii", "replace").partition(":")
-            headers[name.strip().lower()] = value.strip()
-            if name.strip().lower() == "content-length":
-                content_length = int(value.strip())
-        if content_length > MAX_BODY_BYTES:
-            raise ValueError(
-                f"request body of {content_length} bytes exceeds the "
-                f"{MAX_BODY_BYTES}-byte limit"
-            )
-        body = await reader.readexactly(content_length) if content_length else b""
-        return method, path, body, headers
-
-    # ------------------------------------------------------------------
     # Routing
     # ------------------------------------------------------------------
-    async def _route(
-        self, method: str, path: str, body: bytes, headers: Dict[str, str]
-    ) -> Tuple[int, Any]:
-        path = path.split("?", 1)[0]
+    async def handle(self, request: Request) -> Tuple[int, Any]:
+        with self._stats_lock:
+            self._stats.requests += 1
+        try:
+            return await self._route(request)
+        except BadRequest:
+            raise
+        except Exception as error:
+            with self._stats_lock:
+                self._stats.errors += 1
+            return 500, {"error": str(error), "error_type": type(error).__name__}
+
+    async def _route(self, request: Request) -> Tuple[int, Any]:
+        method, path = request.method, request.path
         if path == "/healthz" and method == "GET":
             return await self._aggregate_healthz()
         if path == "/stats" and method == "GET":
@@ -383,46 +212,31 @@ class Router:
             return 200, await self._aggregate_metrics()
         if path == "/graphs" and method == "GET":
             return await self._forward_any("GET", "/graphs")
+        if path in ("/query", "/query_batch", "/update") and method != "POST":
+            return 405, {"error": f"{path} expects POST"}
         if path == "/query":
-            if method != "POST":
-                return 405, {"error": "/query expects POST"}
-            return await self._forward_query(body, headers)
+            return await self._forward_query(request)
         if path == "/query_batch":
-            if method != "POST":
-                return 405, {"error": "/query_batch expects POST"}
-            return await self._forward_batch(body, headers)
+            return await self._forward_batch(request)
         if path == "/update":
-            if method != "POST":
-                return 405, {"error": "/update expects POST"}
-            return await self._forward_update(body)
+            return await self._forward_update(request)
         return 404, {"error": f"unknown endpoint {path!r}"}
 
-    async def _forward_query(
-        self, body: bytes, headers: Dict[str, str]
-    ) -> Tuple[int, Dict[str, Any]]:
-        try:
-            payload = json.loads(body.decode("utf-8"))
-            if not isinstance(payload, dict):
-                raise ValueError("request body must be a JSON object")
-            graph = payload["graph"]
-        except (ValueError, KeyError) as error:
-            return 400, {"error": f"bad request body: {error}"}
+    async def _forward_query(self, request: Request) -> Tuple[int, Dict[str, Any]]:
+        payload = json_body(request, "graph")
+        graph = payload["graph"]
         if not self._fingerprints:
             await self._refresh_fingerprints()
         key = self.routing_key(graph, payload.get("query"))
         # Adopt the caller's trace id (or mint one when the body asks for
         # timings) and propagate it to the replica, so one id spans
         # router → replica → engine.
-        trace_id = parse_header(headers.get(TRACE_HEADER.lower()))
-        trace = (
-            new_trace(trace_id)
-            if (trace_id or bool(payload.get("timings")))
-            else None
-        )
+        trace_id = parse_header(request.headers.get(TRACE_HEADER.lower()))
+        trace = new_trace(trace_id) if (trace_id or payload.get("timings")) else None
         extra_headers = {TRACE_HEADER: trace.trace_id} if trace is not None else None
         started = time.perf_counter()
         status, answer = await self._forward_keyed(
-            "POST", "/query", body, key, extra_headers=extra_headers
+            "POST", "/query", request.body, key, extra_headers=extra_headers
         )
         if trace is not None and isinstance(answer, dict):
             timings = answer.get("timings")
@@ -430,19 +244,13 @@ class Router:
                 # The replica built its trace from the forwarded id; add
                 # the router's enveloping span so the timeline shows the
                 # hop's full cost (forward + failovers + transport).
+                wall_ms = round((time.perf_counter() - started) * 1000.0, 3)
                 timings.setdefault("spans", []).insert(
-                    0,
-                    {
-                        "name": "router.forward",
-                        "start_ms": 0.0,
-                        "wall_ms": round((time.perf_counter() - started) * 1000.0, 3),
-                    },
+                    0, {"name": "router.forward", "start_ms": 0.0, "wall_ms": wall_ms}
                 )
         return status, answer
 
-    async def _forward_batch(
-        self, body: bytes, headers: Dict[str, str]
-    ) -> Tuple[int, Dict[str, Any]]:
+    async def _forward_batch(self, request: Request) -> Tuple[int, Dict[str, Any]]:
         """Scatter a batch over the ring, gather in submission order.
 
         Items are partitioned by owning replica and each partition goes
@@ -451,19 +259,13 @@ class Router:
         failed partition degrades to per-item error entries — batch
         semantics stay per-item, exactly like a single replica's.
         """
-        try:
-            payload = json.loads(body.decode("utf-8"))
-            if not isinstance(payload, dict):
-                raise ValueError("request body must be a JSON object")
-            graph = payload["graph"]
-            queries = payload["queries"]
-            if not isinstance(queries, list):
-                raise ValueError("'queries' must be a list")
-        except (ValueError, KeyError) as error:
-            return 400, {"error": f"bad request body: {error}"}
+        payload = json_body(request, "graph", "queries")
+        graph, queries = payload["graph"], payload["queries"]
+        if not isinstance(queries, list):
+            return 400, {"error": "bad request body: 'queries' must be a list"}
         if not self._fingerprints:
             await self._refresh_fingerprints()
-        trace_id = parse_header(headers.get(TRACE_HEADER.lower()))
+        trace_id = parse_header(request.headers.get(TRACE_HEADER.lower()))
         extra_headers = {TRACE_HEADER: trace_id} if trace_id else None
 
         partitions: Dict[str, List[int]] = {}
@@ -518,7 +320,7 @@ class Router:
         )
         return 200, {"graph": graph, "results": results}
 
-    async def _forward_update(self, body: bytes) -> Tuple[int, Dict[str, Any]]:
+    async def _forward_update(self, request: Request) -> Tuple[int, Dict[str, Any]]:
         """Broadcast a graph delta to *every* live replica.
 
         Queries route to one owner, but replicas are shared-nothing: a
@@ -534,13 +336,7 @@ class Router:
         failed forward, but never failed over: the point is reaching
         *this* replica, not any replica.
         """
-        try:
-            payload = json.loads(body.decode("utf-8"))
-            if not isinstance(payload, dict):
-                raise ValueError("request body must be a JSON object")
-            payload["graph"]
-        except (ValueError, KeyError) as error:
-            return 400, {"error": f"bad request body: {error}"}
+        json_body(request, "graph")
         live = self._supervisor.live_endpoints()
         if not live:
             with self._stats_lock:
@@ -551,11 +347,12 @@ class Router:
 
         async def _apply(member: str, endpoint: str) -> None:
             try:
-                status, answer = await asyncio.wait_for(
-                    self._http_request(endpoint, "POST", "/update", body),
+                status, answer = await timed(
+                    self._pool.request(endpoint, "POST", "/update", request.body),
                     self._forward_timeout,
                 )
-            except (OSError, asyncio.TimeoutError, asyncio.IncompleteReadError) as error:
+            except _TRANSPORT_ERRORS as error:
+                self._pool.discard(endpoint)
                 self._supervisor.notify_failure(member)
                 outcomes[member] = (502, {
                     "error": f"replica unreachable: {error}",
@@ -651,14 +448,15 @@ class Router:
             if endpoint is None:
                 continue
             try:
-                status, payload = await asyncio.wait_for(
-                    self._http_request(
-                        endpoint, method, path, body, extra_headers=extra_headers
+                status, payload = await timed(
+                    self._pool.request(
+                        endpoint, method, path, body, headers=extra_headers
                     ),
                     self._forward_timeout,
                 )
-            except (OSError, asyncio.TimeoutError, asyncio.IncompleteReadError) as error:
+            except _TRANSPORT_ERRORS as error:
                 last_error = error
+                self._pool.discard(endpoint)
                 self._supervisor.notify_failure(member)
                 with self._stats_lock:
                     self._stats.failovers += 1
@@ -688,89 +486,38 @@ class Router:
         first = sorted(live)[0]
         return await self._forward_with_failover(method, path, body, first=first)
 
-    async def _http_request(
-        self,
-        endpoint: str,
-        method: str,
-        path: str,
-        body: bytes = b"",
-        *,
-        extra_headers: Optional[Dict[str, str]] = None,
-        raw: bool = False,
-    ) -> Tuple[int, Any]:
-        """One HTTP exchange with a replica (single-request connection).
-
-        With ``raw`` the response body comes back as decoded text instead
-        of parsed JSON — the ``/metrics`` scrape path, where the replica
-        answers Prometheus text.
-        """
-        host, _, port = endpoint.rpartition(":")
-        reader, writer = await asyncio.open_connection(host, int(port))
-        try:
-            lines = [
-                f"{method} {path} HTTP/1.1",
-                f"Host: {endpoint}",
-                "Connection: close",
-            ]
-            for name, value in (extra_headers or {}).items():
-                lines.append(f"{name}: {value}")
-            if body:
-                lines += [
-                    "Content-Type: application/json",
-                    f"Content-Length: {len(body)}",
-                ]
-            writer.write(("\r\n".join(lines) + "\r\n\r\n").encode("ascii") + body)
-            await writer.drain()
-
-            status_line = await reader.readline()
-            parts = status_line.decode("ascii", "replace").split(None, 2)
-            if len(parts) < 2 or not parts[1].isdigit():
-                raise ConnectionError(f"bad status line {status_line!r}")
-            status = int(parts[1])
-            content_length = 0
-            while True:
-                line = await reader.readline()
-                if line in (b"\r\n", b"\n", b""):
-                    break
-                name, _, value = line.decode("ascii", "replace").partition(":")
-                if name.strip().lower() == "content-length":
-                    content_length = int(value.strip())
-            blob = await reader.readexactly(content_length) if content_length else b""
-            if raw:
-                return status, blob.decode("utf-8", "replace")
-            try:
-                payload = json.loads(blob.decode("utf-8"))
-            except ValueError:
-                payload = {"error": blob.decode("utf-8", "replace")}
-            return status, payload
-        finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, asyncio.CancelledError):
-                pass
-
     # ------------------------------------------------------------------
     # Aggregation
     # ------------------------------------------------------------------
-    async def _aggregate_healthz(self) -> Tuple[int, Dict[str, Any]]:
+    async def _fan_out(
+        self, path: str, *, raw: bool = False
+    ) -> Dict[str, Tuple[str, Optional[Tuple[int, Any]]]]:
+        """``GET path`` on every live replica at once.
+
+        Returns ``{member: (endpoint, (status, payload))}``, with ``None``
+        in place of the answer for a replica that failed to give one.
+        """
         live = self._supervisor.live_endpoints()
-        replicas: Dict[str, Any] = {}
 
-        async def _probe(member: str, endpoint: str) -> None:
+        async def _get(endpoint: str) -> Optional[Tuple[int, Any]]:
             try:
-                status, payload = await asyncio.wait_for(
-                    self._http_request(endpoint, "GET", "/healthz"), _IO_TIMEOUT
+                return await timed(
+                    self._pool.request(endpoint, "GET", path, raw=raw), IO_TIMEOUT
                 )
-                replicas[member] = payload if status == 200 else {
-                    "status": f"error {status}"
-                }
-            except (OSError, asyncio.TimeoutError, ConnectionError):
-                replicas[member] = {"status": "unreachable"}
+            except _TRANSPORT_ERRORS:
+                return None
 
-        await asyncio.gather(
-            *(_probe(member, endpoint) for member, endpoint in live.items())
-        )
+        answers = await asyncio.gather(*(_get(endpoint) for endpoint in live.values()))
+        return {member: (live[member], answer) for member, answer in zip(live, answers)}
+
+    async def _aggregate_healthz(self) -> Tuple[int, Dict[str, Any]]:
+        replicas: Dict[str, Any] = {}
+        for member, (_, answer) in (await self._fan_out("/healthz")).items():
+            if answer is None:
+                replicas[member] = {"status": "unreachable"}
+            else:
+                status, payload = answer
+                replicas[member] = payload if status == 200 else {"status": f"error {status}"}
         for member in self._supervisor.keys():
             replicas.setdefault(member, {"status": "down"})
         healthy = sum(
@@ -785,11 +532,9 @@ class Router:
         }
 
     async def _aggregate_stats(self) -> Tuple[int, Dict[str, Any]]:
-        live = self._supervisor.live_endpoints()
         restarts = self._supervisor.restart_counts()
         per_replica: Dict[str, Any] = {}
-
-        async def _collect(member: str, endpoint: str) -> None:
+        for member, (endpoint, answer) in (await self._fan_out("/stats")).items():
             # Each replica's section leads with its identity — slot key,
             # endpoint, supervisor respawn count — so aggregated numbers
             # stay attributable to the process that produced them.
@@ -798,43 +543,34 @@ class Router:
                 "endpoint": endpoint,
                 "restarts": int(restarts.get(member, 0)),
             }
-            try:
-                status, payload = await asyncio.wait_for(
-                    self._http_request(endpoint, "GET", "/stats"), _IO_TIMEOUT
-                )
-                if status == 200:
-                    per_replica[member] = {**identity, **payload}
-                else:
-                    per_replica[member] = {**identity, "status": f"error {status}"}
-            except (OSError, asyncio.TimeoutError, ConnectionError):
+            if answer is None:
                 per_replica[member] = {**identity, "status": "unreachable"}
-
-        await asyncio.gather(
-            *(_collect(member, endpoint) for member, endpoint in live.items())
-        )
+            elif answer[0] == 200:
+                per_replica[member] = {**identity, **answer[1]}
+            else:
+                per_replica[member] = {**identity, "status": f"error {answer[0]}"}
         for member in self._supervisor.keys():
-            per_replica.setdefault(
-                member,
-                {
-                    "member": member,
-                    "endpoint": None,
-                    "restarts": int(restarts.get(member, 0)),
-                    "status": "down",
-                },
-            )
-        totals = {
-            "requests": 0,
-            "cache_hits": 0,
-            "shared_store_hits": 0,
-            "engine_evaluations": 0,
-            "errors": 0,
-        }
+            per_replica.setdefault(member, {
+                "member": member,
+                "endpoint": None,
+                "restarts": int(restarts.get(member, 0)),
+                "status": "down",
+            })
+        totals = dict.fromkeys(
+            ("requests", "cache_hits", "shared_store_hits", "engine_evaluations", "errors"),
+            0,
+        )
         for payload in per_replica.values():
             service = payload.get("service", {})
             for field in totals:
                 totals[field] += int(service.get(field, 0))
         return 200, {
             "router": self.stats().to_dict(),
+            "http": {
+                "connections_opened": int(self.connections_opened.value),
+                "upstream_opened": int(self._pool.opened.value),
+                "upstream_reused": int(self._pool.reused.value),
+            },
             "totals": totals,
             "replicas": dict(sorted(per_replica.items())),
             "restarts": restarts,
@@ -851,27 +587,14 @@ class Router:
         serve unparseable text are skipped — a scrape must never take
         the router down.
         """
-        live = self._supervisor.live_endpoints()
         scraped: Dict[str, Tuple[Any, Dict[str, str], Dict[str, str]]] = {}
-
-        async def _scrape(member: str, endpoint: str) -> None:
+        for member, (_, answer) in (await self._fan_out("/metrics", raw=True)).items():
+            if answer is None or answer[0] != 200:
+                continue
             try:
-                status, text = await asyncio.wait_for(
-                    self._http_request(endpoint, "GET", "/metrics", raw=True),
-                    _IO_TIMEOUT,
-                )
-            except (OSError, asyncio.TimeoutError, ConnectionError):
-                return
-            if status != 200 or not isinstance(text, str):
-                return
-            try:
-                scraped[member] = parse_prometheus_text(text)
+                scraped[member] = parse_prometheus_text(answer[1])
             except ValueError:
-                return
-
-        await asyncio.gather(
-            *(_scrape(member, endpoint) for member, endpoint in live.items())
-        )
+                continue
         extra: List[bridge.Sample] = bridge.router_samples(
             self.stats().to_dict(), self._supervisor.restart_counts()
         )

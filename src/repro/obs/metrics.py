@@ -154,6 +154,11 @@ class Counter(_Instrument):
         """Increment the label-less child (family must declare no labels)."""
         self._children[()].inc(amount)
 
+    @property
+    def value(self) -> float:
+        """The label-less child's count (family must declare no labels)."""
+        return self._children[()].value
+
 
 class _GaugeChild:
     __slots__ = ("value", "_lock")
@@ -390,6 +395,22 @@ class MetricsRegistry:
         registry's own metrics.  The stats bridges use it to expose the
         legacy counter dataclasses without registering hot-path hooks.
         """
+        grouped: "Dict[str, List[Tuple[str, Mapping[str, str], float]]]" = {}
+        helps: Dict[str, Tuple[str, str]] = {}
+        for name, kind, help, labels, value in extra_samples:
+            grouped.setdefault(name, []).append((kind, labels, value))
+            helps.setdefault(name, (kind, help))
+
+        def _extra_lines(name: str) -> List[str]:
+            out = []
+            for _, labels, value in sorted(
+                grouped.pop(name, []), key=lambda item: sorted(item[1].items())
+            ):
+                names = sorted(labels)
+                text = _labels_text(names, [labels[label] for label in names])
+                out.append(f"{name}{text} {_format_value(value)}")
+            return out
+
         lines: List[str] = []
         for metric in self._sorted_metrics():
             lines.append(f"# HELP {metric.name} {_escape_help(metric.help)}")
@@ -402,21 +423,14 @@ class MetricsRegistry:
                     lines.append(
                         f"{metric.name}{labels} {_format_value(child.value)}"
                     )
-        grouped: "Dict[str, List[Tuple[str, Mapping[str, str], float]]]" = {}
-        helps: Dict[str, Tuple[str, str]] = {}
-        for name, kind, help, labels, value in extra_samples:
-            grouped.setdefault(name, []).append((kind, labels, value))
-            helps.setdefault(name, (kind, help))
+            # Extra series of a family the registry also holds (a router
+            # re-emitting its replicas' counters) join that family's block.
+            lines.extend(_extra_lines(metric.name))
         for name in sorted(grouped):
             kind, help = helps[name]
             lines.append(f"# HELP {name} {_escape_help(help)}")
             lines.append(f"# TYPE {name} {kind}")
-            for _, labels, value in sorted(
-                grouped[name], key=lambda item: sorted(item[1].items())
-            ):
-                names = sorted(labels)
-                text = _labels_text(names, [labels[label] for label in names])
-                lines.append(f"{name}{text} {_format_value(value)}")
+            lines.extend(_extra_lines(name))
         return "\n".join(lines) + "\n" if lines else ""
 
     @staticmethod

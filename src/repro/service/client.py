@@ -1,8 +1,9 @@
 """A small blocking client for the service's JSON/HTTP protocol.
 
-:class:`ServiceClient` wraps :mod:`http.client` (stdlib only, one
-connection per call — the server closes connections after each response)
-and translates the wire format back into typed objects:
+:class:`ServiceClient` wraps :mod:`http.client` (stdlib only) with one
+persistent keep-alive connection per calling thread, reused across calls
+until :meth:`~ServiceClient.close`, and translates the wire format back
+into typed objects:
 ``query`` / ``query_batch`` accept :class:`~repro.engine.queries.Query`
 objects (or their ``to_dict`` forms) and return
 :class:`ServiceResponse` values whose ``result`` is rebuilt through
@@ -12,8 +13,8 @@ Example
 -------
 >>> from repro.service import ServiceClient
 >>> from repro.engine.queries import KTerminalQuery
->>> client = ServiceClient("127.0.0.1", 8350)            # doctest: +SKIP
->>> answer = client.query("karate", KTerminalQuery(terminals=(1, 34)))  # doctest: +SKIP
+>>> with ServiceClient("127.0.0.1", 8350) as client:    # doctest: +SKIP
+...     answer = client.query("karate", KTerminalQuery(terminals=(1, 34)))
 >>> answer.result.reliability, answer.cached             # doctest: +SKIP
 (0.63, False)
 """
@@ -22,14 +23,17 @@ from __future__ import annotations
 
 import http.client
 import json
+import select
+import threading
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Union
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.engine.deltas import DeltaOp
 from repro.engine.queries import Query, QueryResult, result_from_dict
 from repro.exceptions import ReproError
 from repro.obs.trace import TRACE_HEADER
+from repro.service.http import is_idempotent
 
 __all__ = [
     "ServiceClient",
@@ -131,6 +135,10 @@ class ServiceClient:
         Upper bound on any single wait, whatever its source.
     sleep:
         Injectable sleep function, for tests.
+
+    Each thread that calls the client gets its own persistent connection.
+    :meth:`close` (or leaving a ``with`` block) closes all of them; a
+    closed client reconnects if used again.
     """
 
     def __init__(
@@ -153,6 +161,23 @@ class ServiceClient:
         self._backoff = backoff
         self._max_backoff = max_backoff
         self._sleep = sleep
+        self._local = threading.local()
+        self._connections: List[http.client.HTTPConnection] = []
+        self._connections_lock = threading.Lock()
+
+    def close(self) -> None:
+        """Close every connection this client holds, one per thread."""
+        self._local = threading.local()  # each thread reconnects on next use
+        with self._connections_lock:
+            connections, self._connections = self._connections, []
+        for connection in connections:
+            connection.close()
+
+    def __enter__(self) -> "ServiceClient":
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        self.close()
 
     # ------------------------------------------------------------------
     # Endpoints
@@ -271,40 +296,80 @@ class ServiceClient:
         *,
         extra_headers: Optional[Dict[str, str]] = None,
     ) -> Any:
-        connection = http.client.HTTPConnection(
-            self._host, self._port, timeout=self._timeout
-        )
+        blob = json.dumps(body).encode("utf-8") if body is not None else None
+        headers = {"Content-Type": "application/json"} if blob else {}
+        if extra_headers:
+            headers.update(extra_headers)
+        connection = self._connection()
+        reused = connection.sock is not None
+        if reused and _peer_closed(connection.sock):
+            connection.close()  # the server closed it while idle
+            reused = False
         try:
-            blob = json.dumps(body).encode("utf-8") if body is not None else None
-            headers = {"Content-Type": "application/json"} if blob else {}
-            if extra_headers:
-                headers.update(extra_headers)
-            connection.request(method, path, body=blob, headers=headers)
-            response = connection.getresponse()
-            raw = response.read()
-            text = raw.decode("utf-8", "replace")
-            content_type = response.getheader("Content-Type", "")
-            if response.status == 200 and not content_type.startswith(
-                "application/json"
-            ):
-                return text  # /metrics answers Prometheus text, not JSON
-            try:
-                payload = json.loads(raw.decode("utf-8"))
-            except ValueError:
-                payload = {"error": text}
-            if response.status == 429:
-                raise ServiceOverloadedError(
-                    response.status,
-                    payload,
-                    retry_after=_parse_retry_after(
-                        response.getheader("Retry-After")
-                    ),
-                )
-            if response.status != 200:
-                raise ServiceError(response.status, payload)
-            return payload
-        finally:
-            connection.close()
+            response, raw = _exchange(connection, method, path, blob, headers)
+        except ConnectionError:
+            # A reused connection can still lose a race with the server's
+            # idle close; resend only what is safe to send twice.
+            if not (reused and is_idempotent(method, path)):
+                raise
+            response, raw = _exchange(connection, method, path, blob, headers)
+        text = raw.decode("utf-8", "replace")
+        content_type = response.getheader("Content-Type", "")
+        if response.status == 200 and not content_type.startswith(
+            "application/json"
+        ):
+            return text  # /metrics answers Prometheus text, not JSON
+        try:
+            payload = json.loads(raw.decode("utf-8"))
+        except ValueError:
+            payload = {"error": text}
+        if response.status == 429:
+            raise ServiceOverloadedError(
+                response.status,
+                payload,
+                retry_after=_parse_retry_after(response.getheader("Retry-After")),
+            )
+        if response.status != 200:
+            raise ServiceError(response.status, payload)
+        return payload
+
+    def _connection(self) -> http.client.HTTPConnection:
+        """This thread's persistent connection (opened on first send)."""
+        connection = getattr(self._local, "connection", None)
+        if connection is None:
+            connection = http.client.HTTPConnection(
+                self._host, self._port, timeout=self._timeout
+            )
+            self._local.connection = connection
+            with self._connections_lock:
+                self._connections.append(connection)
+        return connection
+
+
+def _exchange(
+    connection: http.client.HTTPConnection,
+    method: str,
+    path: str,
+    blob: Optional[bytes],
+    headers: Dict[str, str],
+) -> Tuple[http.client.HTTPResponse, bytes]:
+    """One request/response on ``connection``; closes it on any failure."""
+    try:
+        connection.request(method, path, body=blob, headers=headers)
+        response = connection.getresponse()
+        return response, response.read()
+    except BaseException:
+        connection.close()
+        raise
+
+
+def _peer_closed(sock: Any) -> bool:
+    """Whether an idle connection's socket is readable: the peer closed it
+    (or sent bytes nobody asked for — unusable either way)."""
+    try:
+        return bool(select.select([sock], [], [], 0)[0])
+    except (OSError, ValueError):
+        return True
 
 
 def _parse_retry_after(header: Optional[str]) -> Optional[float]:

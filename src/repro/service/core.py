@@ -41,7 +41,7 @@ from repro.service.store import SharedResultStore
 from repro.utils.timers import Timer
 from repro.utils.validation import check_positive_int
 
-__all__ = ["ReliabilityService", "ServiceStats"]
+__all__ = ["PendingQuery", "ReliabilityService", "ServiceStats"]
 
 QueryLike = Union[Query, Mapping[str, Any]]
 
@@ -70,6 +70,19 @@ class ServiceStats:
 
     def to_dict(self) -> Dict[str, int]:
         return asdict(self)
+
+
+class PendingQuery:
+    """A query :meth:`ReliabilityService.begin_query` could not answer
+    from memory: hand it to :meth:`ReliabilityService.finish_query`."""
+
+    __slots__ = ("graph", "timings", "request", "timer")
+
+    def __init__(self, graph: str, timings: bool) -> None:
+        self.graph = graph
+        self.timings = timings
+        self.request: Any = None
+        self.timer = Timer().start()
 
 
 class ReliabilityService:
@@ -216,21 +229,58 @@ class ReliabilityService:
         wall/CPU spans, including the evaluation spans stitched over
         from the batcher thread.  Timing data stays response metadata —
         the cached payload and its checksum never contain it.
+
+        Equivalent to :meth:`begin_query` followed, on a memory miss, by
+        :meth:`finish_query`.
+        """
+        outcome = self.begin_query(graph, query, timings=timings)
+        if isinstance(outcome, PendingQuery):
+            return self.finish_query(outcome, timeout=timeout)
+        return outcome
+
+    def begin_query(
+        self, graph: str, query: QueryLike, *, timings: bool = False
+    ) -> Union[Dict[str, Any], "PendingQuery"]:
+        """The first half of :meth:`query`: the answer on a memory-cache hit.
+
+        Counts the request, prepares it, and probes the memory cache —
+        never sqlite or the engine, so the server runs it on its event
+        loop.  A miss comes back as a :class:`PendingQuery` for
+        :meth:`finish_query`, which does the rest without repeating the
+        lookup.
         """
         with self._stats_lock:
             self._stats.requests += 1
-        timer = Timer().start()
-        trace = current_trace()
-        kind = "?"
-        cached = False
+        pending = PendingQuery(graph, timings)
         try:
             with span("service.lookup"):
-                request = self._prepare(graph, query)
-                kind = request.query.kind
-                payload, tier = self._lookup(request.key)
+                pending.request = self._prepare(graph, query)
+                payload = (
+                    self._cache.get(pending.request.key)
+                    if self._cache is not None
+                    else None
+                )
+            if payload is None:
+                return pending
+            self._count_hit("memory")
+            return self._finish(pending, self._respond(payload, tier="memory", graph=graph))
+        except Exception:
+            with self._stats_lock:
+                self._stats.errors += 1
+            raise
+
+    def finish_query(
+        self, pending: "PendingQuery", *, timeout: Optional[float] = None
+    ) -> Dict[str, Any]:
+        """The second half of :meth:`query`: shared store, then the engine."""
+        graph, request = pending.graph, pending.request
+        try:
+            payload, tier = None, None
+            if self._store is not None:
+                with span("service.lookup"):
+                    payload, tier = self._lookup_store(request.key)
             if payload is not None:
                 self._count_hit(tier)
-                cached = True
                 response = self._respond(payload, tier=tier, graph=graph)
             else:
                 future = self._batcher.submit(graph, request.key, request.query)
@@ -241,16 +291,21 @@ class ReliabilityService:
             with self._stats_lock:
                 self._stats.errors += 1
             raise
-        elapsed = timer.stop()
+        return self._finish(pending, response)
+
+    def _finish(self, pending: "PendingQuery", response: Dict[str, Any]) -> Dict[str, Any]:
+        """Slow-query log and ``timings`` section of one answered query."""
+        elapsed = pending.timer.stop()
+        trace = current_trace()
         if self._slow_query_log is not None:
             self._slow_query_log.record(
-                graph=graph,
-                kind=kind,
+                graph=pending.graph,
+                kind=pending.request.query.kind,
                 elapsed_seconds=elapsed,
                 trace_id=trace.trace_id if trace is not None else None,
-                cached=cached,
+                cached=response["cached"],
             )
-        if timings and trace is not None:
+        if pending.timings and trace is not None:
             response["timings"] = trace.to_dict()
         return response
 
@@ -427,6 +482,10 @@ class ReliabilityService:
             payload = self._cache.get(key)
             if payload is not None:
                 return payload, "memory"
+        return self._lookup_store(key)
+
+    def _lookup_store(self, key: Any):
+        """``(payload, "shared")`` from the shared store, else ``(None, None)``."""
         if self._store is not None:
             payload = self._store.get(key)
             if payload is not None:

@@ -188,8 +188,9 @@ class TestClientRetry:
     def test_default_client_fails_fast(self):
         server = _Stub429Server(rejections=1)
         try:
-            with pytest.raises(ServiceOverloadedError) as excinfo:
-                ServiceClient(port=server.port).healthz()
+            with ServiceClient(port=server.port) as client:
+                with pytest.raises(ServiceOverloadedError) as excinfo:
+                    client.healthz()
             assert excinfo.value.retry_after == pytest.approx(0.01)
             assert server.requests == 1
         finally:
@@ -199,10 +200,10 @@ class TestClientRetry:
         server = _Stub429Server(rejections=2, retry_after="0.5")
         waits = []
         try:
-            client = ServiceClient(
+            with ServiceClient(
                 port=server.port, max_retries=3, backoff=0.001, sleep=waits.append
-            )
-            assert client.healthz()["status"] == "ok"
+            ) as client:
+                assert client.healthz()["status"] == "ok"
             assert server.requests == 3
             # The server's hint (0.5s) beats the tiny client backoff.
             assert waits == [pytest.approx(0.5), pytest.approx(0.5)]
@@ -212,11 +213,11 @@ class TestClientRetry:
     def test_retry_budget_exhausts(self):
         server = _Stub429Server(rejections=10)
         try:
-            client = ServiceClient(
+            with ServiceClient(
                 port=server.port, max_retries=2, backoff=0.001, sleep=lambda _: None
-            )
-            with pytest.raises(ServiceOverloadedError):
-                client.healthz()
+            ) as client:
+                with pytest.raises(ServiceOverloadedError):
+                    client.healthz()
             assert server.requests == 3  # initial + 2 retries
         finally:
             server.close()
@@ -224,9 +225,9 @@ class TestClientRetry:
     def test_cluster_client_retries_by_default(self):
         server = _Stub429Server(rejections=1, retry_after="0")
         try:
-            client = ClusterClient(port=server.port, sleep=lambda _: None)
-            assert client.healthz()["status"] == "ok"
-            assert server.requests == 2
+            with ClusterClient(port=server.port, sleep=lambda _: None) as client:
+                assert client.healthz()["status"] == "ok"
+                assert server.requests == 2
         finally:
             server.close()
 
@@ -276,71 +277,71 @@ class TestCluster:
         self, cluster, reference_service
     ):
         _, router = cluster
-        client = ClusterClient(port=router.port)
-        queries = [
-            KTerminalQuery(terminals=(1, 34)),
-            KTerminalQuery(terminals=(2, 20, 30)),
-            KTerminalQuery(terminals=(5, 17)),
-        ]
-        for query in queries:
-            expected = reference_service.query("karate", query)["checksum"]
-            assert client.query("karate", query).checksum == expected
-        batch = client.query_batch("karate", queries)
-        for query, response in zip(queries, batch):
-            expected = reference_service.query("karate", query)["checksum"]
-            assert response.checksum == expected
+        with ClusterClient(port=router.port) as client:
+            queries = [
+                KTerminalQuery(terminals=(1, 34)),
+                KTerminalQuery(terminals=(2, 20, 30)),
+                KTerminalQuery(terminals=(5, 17)),
+            ]
+            for query in queries:
+                expected = reference_service.query("karate", query)["checksum"]
+                assert client.query("karate", query).checksum == expected
+            batch = client.query_batch("karate", queries)
+            for query, response in zip(queries, batch):
+                expected = reference_service.query("karate", query)["checksum"]
+                assert response.checksum == expected
 
     def test_repeats_stay_on_one_replica(self, cluster):
         _, router = cluster
-        client = ClusterClient(port=router.port)
-        query = KTerminalQuery(terminals=(3, 33))
-        first = client.query("karate", query)
-        second = client.query("karate", query)
-        assert first.raw["served_by"] == second.raw["served_by"]
-        assert second.cached
+        with ClusterClient(port=router.port) as client:
+            query = KTerminalQuery(terminals=(3, 33))
+            first = client.query("karate", query)
+            second = client.query("karate", query)
+            assert first.raw["served_by"] == second.raw["served_by"]
+            assert second.cached
 
     def test_aggregated_endpoints(self, cluster):
         supervisor, router = cluster
-        client = ClusterClient(port=router.port)
-        health = client.healthz()
-        assert health["status"] == "ok"
-        assert health["healthy"] == 2
-        stats = client.stats()
-        assert set(stats["restarts"]) == set(supervisor.keys())
-        assert stats["router"]["forwarded"] > 0
-        assert stats["totals"]["requests"] > 0
-        assert [g["name"] for g in client.graphs()] == ["karate"]
+        with ClusterClient(port=router.port) as client:
+            health = client.healthz()
+            assert health["status"] == "ok"
+            assert health["healthy"] == 2
+            stats = client.stats()
+            assert set(stats["restarts"]) == set(supervisor.keys())
+            assert stats["router"]["forwarded"] > 0
+            assert stats["totals"]["requests"] > 0
+            assert [g["name"] for g in client.graphs()] == ["karate"]
 
     def test_replica_kill_fails_over_and_respawns(
         self, cluster, reference_service
     ):
         supervisor, router = cluster
-        client = ClusterClient(port=router.port)
-        query = KTerminalQuery(terminals=(9, 31))
-        expected = reference_service.query("karate", query)["checksum"]
-        victim = client.query("karate", query).raw["served_by"]
-        old_endpoint = supervisor.live_endpoints()[victim]
+        with ClusterClient(port=router.port) as client:
+            query = KTerminalQuery(terminals=(9, 31))
+            expected = reference_service.query("karate", query)["checksum"]
+            victim = client.query("karate", query).raw["served_by"]
+            old_endpoint = supervisor.live_endpoints()[victim]
 
-        supervisor.notify_failure(victim)  # kill the owning replica
-        deadline = time.monotonic() + 5.0
-        while time.monotonic() < deadline:
-            if supervisor.live_endpoints().get(victim) != old_endpoint:
-                break
-            time.sleep(0.05)
+            supervisor.notify_failure(victim)  # kill the owning replica
+            deadline = time.monotonic() + 5.0
+            while time.monotonic() < deadline:
+                if supervisor.live_endpoints().get(victim) != old_endpoint:
+                    break
+                time.sleep(0.05)
 
-        # The cluster answers throughout — failover or respawned owner,
-        # same checksum either way.
-        assert client.query("karate", query).checksum == expected
+            # The cluster answers throughout — failover or respawned owner,
+            # same checksum either way.
+            assert client.query("karate", query).checksum == expected
 
-        deadline = time.monotonic() + 15.0
-        while time.monotonic() < deadline:
-            if victim in supervisor.live_endpoints():
-                break
-            time.sleep(0.1)
-        assert victim in supervisor.live_endpoints()
-        assert supervisor.restart_counts()[victim] >= 1
-        assert supervisor.live_endpoints()[victim] != old_endpoint
-        assert client.query("karate", query).checksum == expected
+            deadline = time.monotonic() + 15.0
+            while time.monotonic() < deadline:
+                if victim in supervisor.live_endpoints():
+                    break
+                time.sleep(0.1)
+            assert victim in supervisor.live_endpoints()
+            assert supervisor.restart_counts()[victim] >= 1
+            assert supervisor.live_endpoints()[victim] != old_endpoint
+            assert client.query("karate", query).checksum == expected
 
 
 # ----------------------------------------------------------------------
@@ -378,15 +379,15 @@ class TestClusterUpdates:
 
     def test_snapshot_warmed_replicas_reject_updates(self, cluster):
         _, router = cluster
-        client = ClusterClient(port=router.port)
-        from repro.service import ServiceError
+        with ClusterClient(port=router.port) as client:
+            from repro.service import ServiceError
 
-        with pytest.raises(ServiceError) as excinfo:
-            client.update("karate", self.DELTA)
-        assert excinfo.value.status == 403
-        replicas = excinfo.value.payload["replicas"]
-        assert len(replicas) == 2
-        assert all(entry["status"] == 403 for entry in replicas.values())
+            with pytest.raises(ServiceError) as excinfo:
+                client.update("karate", self.DELTA)
+            assert excinfo.value.status == 403
+            replicas = excinfo.value.payload["replicas"]
+            assert len(replicas) == 2
+            assert all(entry["status"] == 403 for entry in replicas.values())
 
     def test_update_broadcasts_to_every_replica(self, updatable_cluster):
         from repro.engine import ReliabilityEngine
@@ -394,28 +395,28 @@ class TestClusterUpdates:
         from repro.engine.deltas import delta_from_dict
 
         _, router = updatable_cluster
-        client = ClusterClient(port=router.port)
-        query = KTerminalQuery(terminals=(1, 34))
-        stale = client.query("karate", query)
+        with ClusterClient(port=router.port) as client:
+            query = KTerminalQuery(terminals=(1, 34))
+            stale = client.query("karate", query)
 
-        payload = client.update("karate", self.DELTA)
-        assert payload["incremental"] is True
-        assert payload["version"] == 2
-        replicas = payload["replicas"]
-        assert len(replicas) == 2
-        assert all(entry["status"] == 200 for entry in replicas.values())
-        assert len({entry["fingerprint"] for entry in replicas.values()}) == 1
+            payload = client.update("karate", self.DELTA)
+            assert payload["incremental"] is True
+            assert payload["version"] == 2
+            replicas = payload["replicas"]
+            assert len(replicas) == 2
+            assert all(entry["status"] == 200 for entry in replicas.values())
+            assert len({entry["fingerprint"] for entry in replicas.values()}) == 1
 
-        # Post-update answers are fresh (no stale cache hit) and
-        # bit-identical to a fresh prepare of the mutated graph.
-        reference = load_dataset("karate")
-        delta_from_dict(self.DELTA).apply_to(reference)
-        fresh = ReliabilityEngine(
-            EstimatorConfig(backend="sampling", samples=200, rng=7)
-        ).prepare(reference)
-        expected = results_checksum([fresh.query(query, seed_index=0)])
-        answer = client.query("karate", query)
-        assert answer.cached is False
-        assert answer.checksum == expected
-        assert answer.checksum != stale.checksum
-        assert router.stats().updates == 1
+            # Post-update answers are fresh (no stale cache hit) and
+            # bit-identical to a fresh prepare of the mutated graph.
+            reference = load_dataset("karate")
+            delta_from_dict(self.DELTA).apply_to(reference)
+            fresh = ReliabilityEngine(
+                EstimatorConfig(backend="sampling", samples=200, rng=7)
+            ).prepare(reference)
+            expected = results_checksum([fresh.query(query, seed_index=0)])
+            answer = client.query("karate", query)
+            assert answer.cached is False
+            assert answer.checksum == expected
+            assert answer.checksum != stale.checksum
+            assert router.stats().updates == 1

@@ -550,26 +550,26 @@ class TestHttpUpdate:
         service = ReliabilityService(catalog)
         server = ServiceServer(service, port=0).start_background()
         try:
-            client = ServiceClient("127.0.0.1", server.port)
-            query = KTerminalQuery(terminals=(1, 34))
-            client.query("karate", query)
+            with ServiceClient("127.0.0.1", server.port) as client:
+                query = KTerminalQuery(terminals=(1, 34))
+                client.query("karate", query)
 
-            payload = client.update("karate", PROB_DELTA)
-            assert payload["incremental"] is True
-            assert payload["version"] == 2
-            assert payload["invalidated"]["cache_entries"] >= 1
-            (described,) = client.graphs()
-            assert described["version"] == 2
-            assert described["fingerprint"] == payload["fingerprint"]
+                payload = client.update("karate", PROB_DELTA)
+                assert payload["incremental"] is True
+                assert payload["version"] == 2
+                assert payload["invalidated"]["cache_entries"] >= 1
+                (described,) = client.graphs()
+                assert described["version"] == 2
+                assert described["fingerprint"] == payload["fingerprint"]
 
-            answer = client.query("karate", query)
-            assert answer.cached is False
-            reference = load_dataset("karate")
-            PROB_DELTA.apply_to(reference)
-            fresh = ReliabilityEngine(catalog.config).prepare(reference)
-            assert answer.checksum == results_checksum(
-                [fresh.query(query, seed_index=0)]
-            )
+                answer = client.query("karate", query)
+                assert answer.cached is False
+                reference = load_dataset("karate")
+                PROB_DELTA.apply_to(reference)
+                fresh = ReliabilityEngine(catalog.config).prepare(reference)
+                assert answer.checksum == results_checksum(
+                    [fresh.query(query, seed_index=0)]
+                )
         finally:
             server.close()
             service.close()
@@ -580,10 +580,10 @@ class TestHttpUpdate:
         service = ReliabilityService(catalog, allow_updates=False)
         server = ServiceServer(service, port=0).start_background()
         try:
-            client = ServiceClient("127.0.0.1", server.port)
-            with pytest.raises(ServiceError) as excinfo:
-                client.update("karate", PROB_DELTA)
-            assert excinfo.value.status == 403
+            with ServiceClient("127.0.0.1", server.port) as client:
+                with pytest.raises(ServiceError) as excinfo:
+                    client.update("karate", PROB_DELTA)
+                assert excinfo.value.status == 403
         finally:
             server.close()
             service.close()
@@ -594,10 +594,10 @@ class TestHttpUpdate:
         service = ReliabilityService(catalog)
         server = ServiceServer(service, port=0).start_background()
         try:
-            client = ServiceClient("127.0.0.1", server.port)
-            with pytest.raises(ServiceError) as excinfo:
-                client.update("karate", {"kind": "bogus"})
-            assert excinfo.value.status == 400
+            with ServiceClient("127.0.0.1", server.port) as client:
+                with pytest.raises(ServiceError) as excinfo:
+                    client.update("karate", {"kind": "bogus"})
+                assert excinfo.value.status == 400
         finally:
             server.close()
             service.close()

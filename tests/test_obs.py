@@ -413,33 +413,33 @@ def obs_server():
 
 class TestServerMetrics:
     def test_metrics_endpoint_serves_parseable_text(self, obs_server):
-        client = ServiceClient("127.0.0.1", obs_server.port)
-        client.query("karate", KTerminalQuery(terminals=(3, 20)))
-        text = client.metrics()
-        samples, types, _ = parse_prometheus_text(text)
-        present = {name for name, _, _ in samples}
-        assert "repro_http_request_seconds_bucket" in present
-        assert "repro_http_responses_total" in present
-        assert "repro_service_requests_total" in present
-        assert "repro_coalesce_batch_size_bucket" in present
-        assert types["repro_http_request_seconds"] == "histogram"
+        with ServiceClient("127.0.0.1", obs_server.port) as client:
+            client.query("karate", KTerminalQuery(terminals=(3, 20)))
+            text = client.metrics()
+            samples, types, _ = parse_prometheus_text(text)
+            present = {name for name, _, _ in samples}
+            assert "repro_http_request_seconds_bucket" in present
+            assert "repro_http_responses_total" in present
+            assert "repro_service_requests_total" in present
+            assert "repro_coalesce_batch_size_bucket" in present
+            assert types["repro_http_request_seconds"] == "histogram"
 
     def test_traced_http_query_returns_callers_trace_id(self, obs_server):
-        client = ServiceClient("127.0.0.1", obs_server.port)
-        response = client.query(
-            "karate",
-            KTerminalQuery(terminals=(4, 28)),
-            timings=True,
-            trace_id="cafe0123cafe0123",
-        )
-        timings = response.raw["timings"]
-        assert timings["trace_id"] == "cafe0123cafe0123"
-        assert [s["name"] for s in timings["spans"]]
+        with ServiceClient("127.0.0.1", obs_server.port) as client:
+            response = client.query(
+                "karate",
+                KTerminalQuery(terminals=(4, 28)),
+                timings=True,
+                trace_id="cafe0123cafe0123",
+            )
+            timings = response.raw["timings"]
+            assert timings["trace_id"] == "cafe0123cafe0123"
+            assert [s["name"] for s in timings["spans"]]
 
     def test_untraced_query_has_no_timings_section(self, obs_server):
-        client = ServiceClient("127.0.0.1", obs_server.port)
-        response = client.query("karate", KTerminalQuery(terminals=(6, 29)))
-        assert "timings" not in response.raw
+        with ServiceClient("127.0.0.1", obs_server.port) as client:
+            response = client.query("karate", KTerminalQuery(terminals=(6, 29)))
+            assert "timings" not in response.raw
 
 
 # ----------------------------------------------------------------------
@@ -465,68 +465,68 @@ def obs_cluster(tmp_path_factory):
 class TestClusterObservability:
     def test_one_trace_id_spans_router_replica_engine(self, obs_cluster):
         _, router = obs_cluster
-        client = ClusterClient(port=router.port)
-        trace_id = "0123456789abcdef"
-        response = client.query(
-            "karate",
-            KTerminalQuery(terminals=(9, 31)),
-            timings=True,
-            trace_id=trace_id,
-        )
-        timings = response.raw["timings"]
-        assert timings["trace_id"] == trace_id
-        names = [item["name"] for item in timings["spans"]]
-        # The router's enveloping span leads; the replica's own spans —
-        # produced under the id the router forwarded — follow.
-        assert names[0] == "router.forward"
-        assert "service.lookup" in names
-        assert any(name.startswith("engine.") for name in names)
-        assert response.raw["served_by"]
+        with ClusterClient(port=router.port) as client:
+            trace_id = "0123456789abcdef"
+            response = client.query(
+                "karate",
+                KTerminalQuery(terminals=(9, 31)),
+                timings=True,
+                trace_id=trace_id,
+            )
+            timings = response.raw["timings"]
+            assert timings["trace_id"] == trace_id
+            names = [item["name"] for item in timings["spans"]]
+            # The router's enveloping span leads; the replica's own spans —
+            # produced under the id the router forwarded — follow.
+            assert names[0] == "router.forward"
+            assert "service.lookup" in names
+            assert any(name.startswith("engine.") for name in names)
+            assert response.raw["served_by"]
 
     def test_timings_flag_alone_mints_one_id(self, obs_cluster):
         _, router = obs_cluster
-        client = ClusterClient(port=router.port)
-        response = client.query(
-            "karate", KTerminalQuery(terminals=(8, 25)), timings=True
-        )
-        timings = response.raw["timings"]
-        assert parse_header(timings["trace_id"]) == timings["trace_id"]
-        assert [s["name"] for s in timings["spans"]][0] == "router.forward"
+        with ClusterClient(port=router.port) as client:
+            response = client.query(
+                "karate", KTerminalQuery(terminals=(8, 25)), timings=True
+            )
+            timings = response.raw["timings"]
+            assert parse_header(timings["trace_id"]) == timings["trace_id"]
+            assert [s["name"] for s in timings["spans"]][0] == "router.forward"
 
     def test_router_metrics_aggregate_under_replica_labels(self, obs_cluster):
         supervisor, router = obs_cluster
-        client = ClusterClient(port=router.port)
-        for terminals in ((1, 20), (2, 21), (3, 22), (4, 23)):
-            client.query("karate", KTerminalQuery(terminals=terminals))
-        samples, types, _ = parse_prometheus_text(client.metrics())
-        present = {name for name, _, _ in samples}
-        assert "repro_router_request_seconds_bucket" in present
-        assert "repro_router_forwarded_total" in present
-        assert types["repro_router_request_seconds"] == "histogram"
-        replicas = {
-            labels["replica"]
-            for name, labels, _ in samples
-            if name == "repro_service_requests_total"
-        }
-        assert replicas == set(supervisor.keys())
-        restarts = {
-            labels["replica"]
-            for name, labels, _ in samples
-            if name == "repro_replica_restarts_total"
-        }
-        assert restarts == set(supervisor.keys())
+        with ClusterClient(port=router.port) as client:
+            for terminals in ((1, 20), (2, 21), (3, 22), (4, 23)):
+                client.query("karate", KTerminalQuery(terminals=terminals))
+            samples, types, _ = parse_prometheus_text(client.metrics())
+            present = {name for name, _, _ in samples}
+            assert "repro_router_request_seconds_bucket" in present
+            assert "repro_router_forwarded_total" in present
+            assert types["repro_router_request_seconds"] == "histogram"
+            replicas = {
+                labels["replica"]
+                for name, labels, _ in samples
+                if name == "repro_service_requests_total"
+            }
+            assert replicas == set(supervisor.keys())
+            restarts = {
+                labels["replica"]
+                for name, labels, _ in samples
+                if name == "repro_replica_restarts_total"
+            }
+            assert restarts == set(supervisor.keys())
 
     def test_aggregated_stats_attribute_each_replica(self, obs_cluster):
         supervisor, router = obs_cluster
-        client = ClusterClient(port=router.port)
-        client.query("karate", KTerminalQuery(terminals=(7, 27)))
-        sections = client.replica_stats()
-        assert set(sections) == set(supervisor.keys())
-        for member, section in sections.items():
-            assert section["member"] == member
-            assert section["endpoint"]
-            assert section["restarts"] == 0
-            assert section["service"]["requests"] >= 0
+        with ClusterClient(port=router.port) as client:
+            client.query("karate", KTerminalQuery(terminals=(7, 27)))
+            sections = client.replica_stats()
+            assert set(sections) == set(supervisor.keys())
+            for member, section in sections.items():
+                assert section["member"] == member
+                assert section["endpoint"]
+                assert section["restarts"] == 0
+                assert section["service"]["requests"] >= 0
 
 
 # ----------------------------------------------------------------------

@@ -501,64 +501,64 @@ def live_server(karate):
 class TestHttpEndToEnd:
     def test_healthz_and_graphs(self, live_server):
         server, _, _ = live_server
-        client = ServiceClient("127.0.0.1", server.port)
-        assert client.healthz()["status"] == "ok"
-        (graph,) = client.graphs()
-        assert graph["name"] == "karate"
-        assert graph["vertices"] == 34
+        with ServiceClient("127.0.0.1", server.port) as client:
+            assert client.healthz()["status"] == "ok"
+            (graph,) = client.graphs()
+            assert graph["name"] == "karate"
+            assert graph["vertices"] == 34
 
     def test_query_roundtrip_and_cache_flag(self, live_server, karate):
         server, _, catalog = live_server
-        client = ServiceClient("127.0.0.1", server.port)
-        query = KTerminalQuery(terminals=(3, 20))
-        first = client.query("karate", query)
-        second = client.query("karate", query)
-        assert (first.cached, second.cached) == (False, True)
-        assert first.checksum == second.checksum
-        fresh = ReliabilityEngine(catalog.config).prepare(karate).query(query)
-        assert first.checksum == results_checksum([fresh])
-        assert first.result.reliability == fresh.estimate.reliability
+        with ServiceClient("127.0.0.1", server.port) as client:
+            query = KTerminalQuery(terminals=(3, 20))
+            first = client.query("karate", query)
+            second = client.query("karate", query)
+            assert (first.cached, second.cached) == (False, True)
+            assert first.checksum == second.checksum
+            fresh = ReliabilityEngine(catalog.config).prepare(karate).query(query)
+            assert first.checksum == results_checksum([fresh])
+            assert first.result.reliability == fresh.estimate.reliability
 
     def test_query_batch_over_http(self, live_server):
         server, _, _ = live_server
-        client = ServiceClient("127.0.0.1", server.port)
-        outcomes = client.query_batch(
-            "karate",
-            [
-                KTerminalQuery(terminals=(5, 6)),
-                {"kind": "threshold", "terminals": [7, 8], "threshold": 0.5},
-                {"kind": "bogus"},
-            ],
-        )
-        assert outcomes[0].kind == "k-terminal"
-        assert outcomes[1].kind == "threshold"
-        assert outcomes[2]["error_type"] == "ConfigurationError"
+        with ServiceClient("127.0.0.1", server.port) as client:
+            outcomes = client.query_batch(
+                "karate",
+                [
+                    KTerminalQuery(terminals=(5, 6)),
+                    {"kind": "threshold", "terminals": [7, 8], "threshold": 0.5},
+                    {"kind": "bogus"},
+                ],
+            )
+            assert outcomes[0].kind == "k-terminal"
+            assert outcomes[1].kind == "threshold"
+            assert outcomes[2]["error_type"] == "ConfigurationError"
 
     def test_stats_endpoint_merges_all_layers(self, live_server):
         server, _, _ = live_server
-        client = ServiceClient("127.0.0.1", server.port)
-        client.query("karate", KTerminalQuery(terminals=(9, 10)))
-        stats = client.stats()
-        assert stats["service"]["requests"] >= 1
-        assert stats["cache"]["max_bytes"] > 0
-        assert "admission" in stats and stats["admission"]["accepted"] >= 1
-        assert "world_pools_evicted" in next(iter(stats["engines"]["karate"].values()))
+        with ServiceClient("127.0.0.1", server.port) as client:
+            client.query("karate", KTerminalQuery(terminals=(9, 10)))
+            stats = client.stats()
+            assert stats["service"]["requests"] >= 1
+            assert stats["cache"]["max_bytes"] > 0
+            assert "admission" in stats and stats["admission"]["accepted"] >= 1
+            assert "world_pools_evicted" in next(iter(stats["engines"]["karate"].values()))
 
     def test_error_mapping(self, live_server):
         server, _, _ = live_server
-        client = ServiceClient("127.0.0.1", server.port)
-        with pytest.raises(ServiceError) as excinfo:
-            client.query("nope", KTerminalQuery(terminals=(1, 2)))
-        assert excinfo.value.status == 400
-        with pytest.raises(ServiceError) as excinfo:
-            client.query("karate", {"kind": "bogus"})
-        assert excinfo.value.status == 400
-        with pytest.raises(ServiceError) as excinfo:
-            client._request("GET", "/missing")
-        assert excinfo.value.status == 404
-        with pytest.raises(ServiceError) as excinfo:
-            client._request("GET", "/query")
-        assert excinfo.value.status == 405
+        with ServiceClient("127.0.0.1", server.port) as client:
+            with pytest.raises(ServiceError) as excinfo:
+                client.query("nope", KTerminalQuery(terminals=(1, 2)))
+            assert excinfo.value.status == 400
+            with pytest.raises(ServiceError) as excinfo:
+                client.query("karate", {"kind": "bogus"})
+            assert excinfo.value.status == 400
+            with pytest.raises(ServiceError) as excinfo:
+                client._request("GET", "/missing")
+            assert excinfo.value.status == 404
+            with pytest.raises(ServiceError) as excinfo:
+                client._request("GET", "/query")
+            assert excinfo.value.status == 405
 
     def test_oversized_body_rejected_413(self, live_server):
         import http.client
@@ -580,8 +580,9 @@ class TestHttpEndToEnd:
         original = service.stats
         service.stats = lambda: (_ for _ in ()).throw(RuntimeError("boom"))
         try:
-            with pytest.raises(ServiceError) as excinfo:
-                ServiceClient("127.0.0.1", server.port).stats()
+            with ServiceClient("127.0.0.1", server.port) as client:
+                with pytest.raises(ServiceError) as excinfo:
+                    client.stats()
             assert excinfo.value.status == 500
         finally:
             service.stats = original
@@ -599,7 +600,10 @@ class TestHttpEndToEnd:
             def stats(self):
                 return {}
 
-            def query(self, graph, query, timeout=None, timings=False):
+            def begin_query(self, graph, query, timings=False):
+                return graph  # never a memory hit: always the slow path
+
+            def finish_query(self, graph, timeout=None):
                 release.wait(timeout=10)
                 return {"graph": graph, "kind": "k-terminal", "checksum": "x",
                         "result": {"kind": "k-terminal", "terminals": [1],
@@ -613,18 +617,18 @@ class TestHttpEndToEnd:
             lock = threading.Lock()
 
             def hit():
-                client = ServiceClient("127.0.0.1", server.port, timeout=30)
-                try:
-                    client._request(
-                        "POST", "/query",
-                        {"graph": "karate", "query": {"kind": "k-terminal",
-                                                      "terminals": [1, 2]}},
-                    )
-                    outcome = 200
-                except ServiceOverloadedError as error:
-                    outcome = error.status
-                with lock:
-                    statuses.append(outcome)
+                with ServiceClient("127.0.0.1", server.port, timeout=30) as client:
+                    try:
+                        client._request(
+                            "POST", "/query",
+                            {"graph": "karate", "query": {"kind": "k-terminal",
+                                                          "terminals": [1, 2]}},
+                        )
+                        outcome = 200
+                    except ServiceOverloadedError as error:
+                        outcome = error.status
+                    with lock:
+                        statuses.append(outcome)
 
             threads = [threading.Thread(target=hit) for _ in range(4)]
             for thread in threads:
