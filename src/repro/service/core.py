@@ -72,17 +72,15 @@ class ServiceStats:
         return asdict(self)
 
 
+@dataclass
 class PendingQuery:
     """A query :meth:`ReliabilityService.begin_query` could not answer
     from memory: hand it to :meth:`ReliabilityService.finish_query`."""
 
-    __slots__ = ("graph", "timings", "request", "timer")
-
-    def __init__(self, graph: str, timings: bool) -> None:
-        self.graph = graph
-        self.timings = timings
-        self.request: Any = None
-        self.timer = Timer().start()
+    graph: str
+    request: Any
+    timer: Timer
+    timings: bool
 
 
 class ReliabilityService:
@@ -251,15 +249,14 @@ class ReliabilityService:
         """
         with self._stats_lock:
             self._stats.requests += 1
-        pending = PendingQuery(graph, timings)
+        timer = Timer().start()
         try:
             with span("service.lookup"):
-                pending.request = self._prepare(graph, query)
+                request = self._prepare(graph, query)
                 payload = (
-                    self._cache.get(pending.request.key)
-                    if self._cache is not None
-                    else None
+                    self._cache.get(request.key) if self._cache is not None else None
                 )
+            pending = PendingQuery(graph, request, timer, timings)
             if payload is None:
                 return pending
             self._count_hit("memory")
