@@ -361,14 +361,17 @@ class HttpServer:
                 await writer.drain()
                 if not keep_alive:
                     return
-        except ConnectionError:
+        except (ConnectionError, asyncio.CancelledError):
+            # Cancelled only by _shutdown.  Ending the task normally keeps
+            # asyncio's stream server (which reads task.exception() when
+            # the task ends, on Python 3.11) from logging the cancellation.
             pass
         finally:
             self._connections.discard(task)
             writer.close()
             try:
                 await writer.wait_closed()
-            except ConnectionError:
+            except (ConnectionError, asyncio.CancelledError):
                 pass
 
 
