@@ -61,7 +61,6 @@ from repro.service.http import (
     Request,
     UpstreamPool,
     json_body,
-    timed,
 )
 
 __all__ = ["Router", "RouterStats"]
@@ -347,7 +346,7 @@ class Router(HttpServer):
 
         async def _apply(member: str, endpoint: str) -> None:
             try:
-                status, answer = await timed(
+                status, answer = await asyncio.wait_for(
                     self._pool.request(endpoint, "POST", "/update", request.body),
                     self._forward_timeout,
                 )
@@ -448,7 +447,7 @@ class Router(HttpServer):
             if endpoint is None:
                 continue
             try:
-                status, payload = await timed(
+                status, payload = await asyncio.wait_for(
                     self._pool.request(
                         endpoint, method, path, body, headers=extra_headers
                     ),
@@ -501,7 +500,7 @@ class Router(HttpServer):
 
         async def _get(endpoint: str) -> Optional[Tuple[int, Any]]:
             try:
-                return await timed(
+                return await asyncio.wait_for(
                     self._pool.request(endpoint, "GET", path, raw=raw), IO_TIMEOUT
                 )
             except _TRANSPORT_ERRORS:

@@ -26,6 +26,7 @@ import json
 import select
 import threading
 import time
+import weakref
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
@@ -162,14 +163,19 @@ class ServiceClient:
         self._max_backoff = max_backoff
         self._sleep = sleep
         self._local = threading.local()
-        self._connections: List[http.client.HTTPConnection] = []
+        # Weak: a thread's connection lives as long as its thread-local
+        # holder, so a finished thread leaves no socket behind.
+        self._connections: "weakref.WeakSet[http.client.HTTPConnection]" = (
+            weakref.WeakSet()
+        )
         self._connections_lock = threading.Lock()
 
     def close(self) -> None:
         """Close every connection this client holds, one per thread."""
         self._local = threading.local()  # each thread reconnects on next use
         with self._connections_lock:
-            connections, self._connections = self._connections, []
+            connections = list(self._connections)
+            self._connections.clear()
         for connection in connections:
             connection.close()
 
@@ -335,15 +341,25 @@ class ServiceClient:
 
     def _connection(self) -> http.client.HTTPConnection:
         """This thread's persistent connection (opened on first send)."""
-        connection = getattr(self._local, "connection", None)
-        if connection is None:
+        holder = getattr(self._local, "holder", None)
+        if holder is None:
             connection = http.client.HTTPConnection(
                 self._host, self._port, timeout=self._timeout
             )
-            self._local.connection = connection
+            holder = self._local.holder = _ThreadConnection(connection)
+            # The thread-local drops the holder when its thread ends (or
+            # on close()): close the socket then.
+            weakref.finalize(holder, connection.close)
             with self._connections_lock:
-                self._connections.append(connection)
-        return connection
+                self._connections.add(connection)
+        return holder.connection
+
+
+class _ThreadConnection:
+    """One thread's connection, held only by that thread's thread-local."""
+
+    def __init__(self, connection: http.client.HTTPConnection) -> None:
+        self.connection = connection
 
 
 def _exchange(

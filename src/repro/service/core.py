@@ -241,14 +241,13 @@ class ReliabilityService:
     ) -> Union[Dict[str, Any], "PendingQuery"]:
         """The first half of :meth:`query`: the answer on a memory-cache hit.
 
-        Counts the request, prepares it, and probes the memory cache —
-        never sqlite or the engine, so the server runs it on its event
-        loop.  A miss comes back as a :class:`PendingQuery` for
-        :meth:`finish_query`, which does the rest without repeating the
-        lookup.
+        Prepares the request and probes the memory cache — never sqlite
+        or the engine, so the server runs it on its event loop.  A miss
+        comes back as a :class:`PendingQuery` for :meth:`finish_query`,
+        which does the rest without repeating the lookup.  A hit or an
+        error counts the request here; a miss is counted by
+        :meth:`finish_query`, so one the server sheds is not counted.
         """
-        with self._stats_lock:
-            self._stats.requests += 1
         timer = Timer().start()
         try:
             with span("service.lookup"):
@@ -256,21 +255,26 @@ class ReliabilityService:
                 payload = (
                     self._cache.get(request.key) if self._cache is not None else None
                 )
-            pending = PendingQuery(graph, request, timer, timings)
-            if payload is None:
-                return pending
-            self._count_hit("memory")
-            return self._finish(pending, self._respond(payload, tier="memory", graph=graph))
         except Exception:
             with self._stats_lock:
+                self._stats.requests += 1
                 self._stats.errors += 1
             raise
+        pending = PendingQuery(graph, request, timer, timings)
+        if payload is None:
+            return pending
+        with self._stats_lock:
+            self._stats.requests += 1
+        self._count_hit("memory")
+        return self._finish(pending, self._respond(payload, tier="memory", graph=graph))
 
     def finish_query(
         self, pending: "PendingQuery", *, timeout: Optional[float] = None
     ) -> Dict[str, Any]:
         """The second half of :meth:`query`: shared store, then the engine."""
         graph, request = pending.graph, pending.request
+        with self._stats_lock:
+            self._stats.requests += 1
         try:
             payload, tier = None, None
             if self._store is not None:

@@ -26,7 +26,7 @@ import json
 import threading
 import time
 from dataclasses import dataclass
-from typing import Any, Awaitable, Dict, List, Optional, Set, Tuple
+from typing import Any, Dict, List, Optional, Set, Tuple
 
 from repro.exceptions import ConfigurationError
 from repro.obs.metrics import PROMETHEUS_CONTENT_TYPE, MetricsRegistry
@@ -34,7 +34,6 @@ from repro.obs.metrics import PROMETHEUS_CONTENT_TYPE, MetricsRegistry
 __all__ = [
     "BadRequest", "HttpServer", "IO_TIMEOUT", "MAX_BODY_BYTES", "Request",
     "UpstreamPool", "encode_response", "is_idempotent", "json_body", "read_request",
-    "timed",
 ]
 
 #: Largest request body a server will buffer (a query batch of thousands
@@ -137,18 +136,6 @@ async def _read_rest(reader: asyncio.StreamReader, line: bytes) -> Request:
     return Request(parts[0].upper(), parts[1].split("?", 1)[0], body, headers, keep_alive)
 
 
-if hasattr(asyncio, "timeout"):  # Python 3.11+: no task per call
-
-    async def timed(awaitable: Awaitable[Any], seconds: float) -> Any:
-        """``await awaitable``, raising :class:`asyncio.TimeoutError` after
-        ``seconds`` (:func:`asyncio.wait_for` without its extra task)."""
-        async with asyncio.timeout(seconds):
-            return await awaitable
-
-else:  # pragma: no cover - Python 3.10
-    timed = asyncio.wait_for
-
-
 async def read_request(reader: asyncio.StreamReader) -> Optional[Request]:
     """The next request, or ``None`` when the peer closed or idled out.
 
@@ -164,7 +151,7 @@ async def read_request(reader: asyncio.StreamReader) -> Optional[Request]:
         return await _read_rest(reader, line) if line.strip() else None
 
     try:
-        return await timed(_read(), IO_TIMEOUT)
+        return await asyncio.wait_for(_read(), IO_TIMEOUT)
     except asyncio.TimeoutError:
         if line:
             raise
@@ -382,8 +369,8 @@ class UpstreamPool:
     """Idle keep-alive connections to upstream endpoints, a few per endpoint.
 
     Used from one event loop only (the router's), so it takes no lock.
-    ``opened`` and ``reused`` count connections opened and requests sent
-    on a pooled connection.
+    ``opened`` counts connections opened; ``reused`` counts requests
+    answered over a pooled connection.
     """
 
     def __init__(self, registry: MetricsRegistry) -> None:
@@ -395,7 +382,7 @@ class UpstreamPool:
         )
         self.reused = registry.counter(
             "repro_router_upstream_reused_total",
-            "Router-to-replica requests sent on a pooled connection.",
+            "Router-to-replica requests answered over a pooled connection.",
         )
 
     async def request(
@@ -421,7 +408,6 @@ class UpstreamPool:
         answer = None
         connection = self._take(endpoint)
         if connection is not None:
-            self.reused.inc()
             try:
                 answer = await self._exchange(endpoint, connection, message)
             except (OSError, asyncio.IncompleteReadError):
@@ -429,6 +415,8 @@ class UpstreamPool:
                     raise
                 # The peer closed the pooled connection while it sat idle
                 # (a restart, or its idle timeout): resending is safe.
+            else:
+                self.reused.inc()
         if answer is None:
             if endpoint not in self._idle:
                 self._prune()

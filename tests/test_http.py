@@ -4,7 +4,8 @@ Keep-alive on the server side (two requests on one socket,
 ``Connection: close`` and HTTP/1.0, the silent idle close), the router's
 upstream pool (reconnecting after a replica restart, never resending an
 update), the router's own framing (413, ``Retry-After``), connection
-counters, and memory-cache hits answered on the event loop.
+counters, memory-cache hits answered on the event loop outside admission
+control, and client connections closed when their thread ends.
 """
 
 from __future__ import annotations
@@ -178,12 +179,50 @@ class TestServerKeepAlive:
         assert names.count("service.lookup") == 1
         assert "service.wait" not in names
 
+    def test_shed_miss_not_counted_and_hit_bypasses_admission(self, served):
+        server, service, _ = served
+        hot, cold = KTerminalQuery(terminals=(5, 31)), KTerminalQuery(terminals=(6, 32))
+        with ServiceClient("127.0.0.1", server.port) as client:
+            client.query("karate", hot)
+            requests = service.stats()["service"]["requests"]
+            accepted = server._admission_snapshot()["accepted"]
+            # Hold every admission slot, as a saturated pool would.
+            held = 0
+            while server._try_admit() is None:
+                held += 1
+            try:
+                with pytest.raises(ServiceOverloadedError):
+                    client.query("karate", cold)  # a miss: shed with 429
+                assert client.query("karate", hot).cached  # a hit: answered
+            finally:
+                for _ in range(held):
+                    server._release()
+        assert service.stats()["service"]["requests"] == requests + 1  # the hit only
+        assert server._admission_snapshot()["accepted"] == accepted + held
+
     def test_client_reuses_one_connection(self, served):
         server, _, _ = served
         with ServiceClient("127.0.0.1", server.port) as client:
             for _ in range(5):
                 client.healthz()
             assert client.stats()["http"]["connections_opened"] == 1
+
+    def test_finished_threads_leave_no_connection_open(self, served):
+        server, _, _ = served
+        with ServiceClient("127.0.0.1", server.port) as client:
+            threads = [threading.Thread(target=client.healthz) for _ in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=10)
+            assert server.connections_opened.value == 4
+            # Each finished thread's socket was closed, so the server sees
+            # every connection end while the client itself is still open.
+            deadline = time.monotonic() + 5.0
+            while server._connections and time.monotonic() < deadline:
+                time.sleep(0.02)
+            assert not server._connections
+            assert not list(client._connections)
 
 
 # ----------------------------------------------------------------------
@@ -257,7 +296,9 @@ class TestRouterConnections:
             try:
                 assert (await pool.request(endpoint, "GET", "/healthz"))[0] == 200
                 assert (await pool.request(endpoint, "GET", "/healthz"))[0] == 200
-                assert pool.opened.value == 2 and pool.reused.value == 1
+                # The second read's pooled exchange failed: it was resent
+                # on a fresh connection and does not count as reused.
+                assert pool.opened.value == 2 and pool.reused.value == 0
                 with pytest.raises((OSError, asyncio.IncompleteReadError)):
                     await pool.request(endpoint, "POST", "/update", b"{}")
             finally:
