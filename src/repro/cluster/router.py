@@ -61,6 +61,7 @@ from repro.service.http import (
     Request,
     UpstreamPool,
     json_body,
+    json_bytes,
 )
 
 __all__ = ["Router", "RouterStats"]
@@ -237,7 +238,10 @@ class Router(HttpServer):
         status, answer = await self._forward_keyed(
             "POST", "/query", request.body, key, extra_headers=extra_headers
         )
-        if trace is not None and isinstance(answer, dict):
+        if trace is not None:
+            # The one answer the router decodes: its span goes into the
+            # replica's timings.  Others pass through as the replica's bytes.
+            answer = _decoded(answer)
             timings = answer.get("timings")
             if isinstance(timings, dict):
                 # The replica built its trace from the forwarded id; add
@@ -267,11 +271,12 @@ class Router(HttpServer):
         trace_id = parse_header(request.headers.get(TRACE_HEADER.lower()))
         extra_headers = {TRACE_HEADER: trace_id} if trace_id else None
 
+        live = self._supervisor.live_endpoints()
         partitions: Dict[str, List[int]] = {}
         for position, query in enumerate(queries):
             owner_key = self.routing_key(graph, query)
             try:
-                owner = self._preferred_live(owner_key)[0]
+                owner = self._preferred_live(owner_key, live)[0]
             except ClusterError:
                 with self._stats_lock:
                     self._stats.no_replica += 1
@@ -286,13 +291,15 @@ class Router(HttpServer):
             ).encode("utf-8")
             # Failover starts from the partition's owner and walks the
             # same preference order every router would.
-            status, payload = await self._forward_with_failover(
+            status, answer = await self._forward_with_failover(
                 "POST",
                 "/query_batch",
                 sub_body,
                 first=member,
+                live=live,
                 extra_headers=extra_headers,
             )
+            payload = _decoded(answer)
             if status == 200:
                 sub_results = payload.get("results", [])
                 for offset, position in enumerate(positions):
@@ -397,9 +404,8 @@ class Router(HttpServer):
     # ------------------------------------------------------------------
     # Forwarding primitives
     # ------------------------------------------------------------------
-    def _preferred_live(self, key: str) -> List[str]:
-        """The ring's preference list for ``key``, filtered to live replicas."""
-        live = self._supervisor.live_endpoints()
+    def _preferred_live(self, key: str, live: Dict[str, str]) -> List[str]:
+        """The ring's preference list for ``key``, filtered to ``live`` replicas."""
         order = [member for member in self._ring.preference(key) if member in live]
         if not order:
             raise ClusterError("no live replica to serve the request")
@@ -413,15 +419,16 @@ class Router(HttpServer):
         key: str,
         *,
         extra_headers: Optional[Dict[str, str]] = None,
-    ) -> Tuple[int, Dict[str, Any]]:
+    ) -> Tuple[int, Any]:
+        live = self._supervisor.live_endpoints()  # re-read only after a failure
         try:
-            first = self._preferred_live(key)[0]
+            first = self._preferred_live(key, live)[0]
         except ClusterError as error:
             with self._stats_lock:
                 self._stats.no_replica += 1
             return 503, {"error": str(error)}
         return await self._forward_with_failover(
-            method, path, body, first=first, extra_headers=extra_headers
+            method, path, body, first=first, live=live, extra_headers=extra_headers
         )
 
     async def _forward_with_failover(
@@ -431,15 +438,17 @@ class Router(HttpServer):
         body: bytes,
         *,
         first: str,
+        live: Dict[str, str],
         extra_headers: Optional[Dict[str, str]] = None,
-    ) -> Tuple[int, Dict[str, Any]]:
-        """Forward to ``first``, then down the live member list on failure.
+    ) -> Tuple[int, Any]:
+        """Forward to ``first``, then down the ``live`` member list on failure.
 
         Only transport-level failures (connect/read errors, timeouts)
         fail over — an HTTP error status is the replica's *answer* and is
         passed through; retrying a 400 elsewhere would just repeat it.
+        The answer is the replica's JSON bytes with ``served_by`` spliced
+        in, or a dict the router made itself.
         """
-        live = self._supervisor.live_endpoints()
         members = [first] + [key for key in sorted(live) if key != first]
         last_error: Optional[BaseException] = None
         for attempt, member in enumerate(members):
@@ -447,9 +456,9 @@ class Router(HttpServer):
             if endpoint is None:
                 continue
             try:
-                status, payload = await asyncio.wait_for(
+                status, blob = await asyncio.wait_for(
                     self._pool.request(
-                        endpoint, method, path, body, headers=extra_headers
+                        endpoint, method, path, body, headers=extra_headers, raw=True
                     ),
                     self._forward_timeout,
                 )
@@ -463,9 +472,9 @@ class Router(HttpServer):
                 continue
             with self._stats_lock:
                 self._stats.forwarded += 1
-            if isinstance(payload, dict):
-                payload.setdefault("served_by", member)
-            return status, payload
+            if blob[:1] == b"{" and blob[-1:] == b"}" and blob != b"{}":
+                return status, blob[:-1] + b',"served_by":' + json_bytes(member) + b"}"
+            return status, {"error": blob.decode("utf-8", "replace"), "served_by": member}
         with self._stats_lock:
             self._stats.errors += 1
         return 502, {
@@ -483,7 +492,7 @@ class Router(HttpServer):
                 self._stats.no_replica += 1
             return 503, {"error": "no live replica"}
         first = sorted(live)[0]
-        return await self._forward_with_failover(method, path, body, first=first)
+        return await self._forward_with_failover(method, path, body, first=first, live=live)
 
     # ------------------------------------------------------------------
     # Aggregation
@@ -591,7 +600,7 @@ class Router(HttpServer):
             if answer is None or answer[0] != 200:
                 continue
             try:
-                scraped[member] = parse_prometheus_text(answer[1])
+                scraped[member] = parse_prometheus_text(answer[1].decode("utf-8", "replace"))
             except ValueError:
                 continue
         extra: List[bridge.Sample] = bridge.router_samples(
@@ -619,3 +628,8 @@ class Router(HttpServer):
                     )
                 )
         return self._registry.render(extra_samples=extra)
+
+
+def _decoded(answer: Any) -> Dict[str, Any]:
+    """A forwarded answer as a dict (the router's own answers already are)."""
+    return json.loads(answer) if isinstance(answer, bytes) else answer

@@ -1,9 +1,9 @@
 """The service result cache: LRU + optional TTL, byte-size bounded.
 
 Identical queries from different clients should hit a cache, not recompute
-a Monte-Carlo estimate.  :class:`ResultCache` stores JSON-safe response
-payloads keyed by the triple the service's determinism contract is built
-on::
+a Monte-Carlo estimate.  :class:`ResultCache` stores response payloads
+as the compact JSON bytes they are sent in (a hit is not re-encoded),
+keyed by the triple the service's determinism contract is built on::
 
     (graph fingerprint, query.canonical_key(), config.fingerprint())
 
@@ -26,9 +26,10 @@ import threading
 import time
 from collections import OrderedDict
 from dataclasses import asdict, dataclass
-from typing import Any, Callable, Dict, Optional, Tuple
+from typing import Any, Callable, Dict, Optional, Tuple, Union
 
 from repro.exceptions import ConfigurationError
+from repro.service.http import json_bytes
 from repro.utils.validation import check_positive_int
 
 __all__ = ["CacheStats", "ResultCache", "cache_key"]
@@ -90,16 +91,16 @@ class CacheStats:
 
 
 class _Entry:
-    __slots__ = ("payload", "size", "expires_at")
+    __slots__ = ("blob", "size", "expires_at")
 
-    def __init__(self, payload: Dict[str, Any], size: int, expires_at: Optional[float]):
-        self.payload = payload
-        self.size = size
+    def __init__(self, blob: bytes, expires_at: Optional[float]):
+        self.blob = blob
+        self.size = len(blob)
         self.expires_at = expires_at
 
 
 class ResultCache:
-    """A thread-safe LRU cache of JSON-safe service response payloads.
+    """A thread-safe LRU cache of service response payloads, held as JSON bytes.
 
     Parameters
     ----------
@@ -143,15 +144,18 @@ class ResultCache:
     @staticmethod
     def payload_size(payload: Dict[str, Any]) -> int:
         """The byte size a payload is accounted at (its compact JSON form)."""
-        return len(
-            json.dumps(payload, separators=(",", ":"), default=repr).encode("utf-8")
-        )
+        return len(json_bytes(payload))
 
     # ------------------------------------------------------------------
     # Lookup / store
     # ------------------------------------------------------------------
     def get(self, key: CacheKey) -> Optional[Dict[str, Any]]:
-        """The cached payload for ``key``, or ``None`` (counted as a miss)."""
+        """The cached payload for ``key`` (a fresh copy), or ``None`` (a miss)."""
+        blob = self.get_blob(key)
+        return None if blob is None else json.loads(blob)
+
+    def get_blob(self, key: CacheKey) -> Optional[bytes]:
+        """The cached payload's JSON bytes, or ``None`` (counted as a miss)."""
         with self._lock:
             entry = self._entries.get(key)
             if entry is not None and entry.expires_at is not None:
@@ -167,24 +171,27 @@ class ResultCache:
                 return None
             self._entries.move_to_end(key)
             self._stats.hits += 1
-            return entry.payload
+            return entry.blob
 
-    def put(self, key: CacheKey, payload: Dict[str, Any]) -> bool:
-        """Store ``payload`` under ``key``; returns whether it was cached.
+    def put(self, key: CacheKey, payload: Union[Dict[str, Any], bytes]) -> bool:
+        """Store ``payload`` (or its :func:`json_bytes`) under ``key``;
+        returns whether it was cached.
 
         Payloads larger than the whole byte budget are rejected (returns
         ``False``) rather than evicting the entire cache to fit them.
         """
-        size = self.payload_size(payload)
-        if size > self._max_bytes:
+        entry = _Entry(
+            payload if isinstance(payload, bytes) else json_bytes(payload),
+            self._clock() + self._ttl if self._ttl is not None else None,
+        )
+        if entry.size > self._max_bytes:
             return False
-        expires_at = self._clock() + self._ttl if self._ttl is not None else None
         with self._lock:
             old = self._entries.pop(key, None)
             if old is not None:
                 self._stats.current_bytes -= old.size
-            self._entries[key] = _Entry(payload, size, expires_at)
-            self._stats.current_bytes += size
+            self._entries[key] = entry
+            self._stats.current_bytes += entry.size
             self._stats.stores += 1
             # The just-stored entry is MRU and within budget on its own, so
             # this loop always terminates before evicting it.

@@ -1,9 +1,11 @@
 """A small blocking client for the service's JSON/HTTP protocol.
 
-:class:`ServiceClient` wraps :mod:`http.client` (stdlib only) with one
-persistent keep-alive connection per calling thread, reused across calls
-until :meth:`~ServiceClient.close`, and translates the wire format back
-into typed objects:
+:class:`ServiceClient` speaks HTTP/1.1 itself over a plain socket
+(stdlib only): one persistent keep-alive connection per calling thread,
+reused across calls until :meth:`~ServiceClient.close`, one ``sendall``
+per request framed by :func:`repro.service.http.encode_request`, and an
+answer read as status line, headers, and ``Content-Length`` body.  It
+translates the wire format back into typed objects:
 ``query`` / ``query_batch`` accept :class:`~repro.engine.queries.Query`
 objects (or their ``to_dict`` forms) and return
 :class:`ServiceResponse` values whose ``result`` is rebuilt through
@@ -21,9 +23,9 @@ Example
 
 from __future__ import annotations
 
-import http.client
 import json
 import select
+import socket
 import threading
 import time
 import weakref
@@ -34,7 +36,7 @@ from repro.engine.deltas import DeltaOp
 from repro.engine.queries import Query, QueryResult, result_from_dict
 from repro.exceptions import ReproError
 from repro.obs.trace import TRACE_HEADER
-from repro.service.http import is_idempotent
+from repro.service.http import encode_request, is_idempotent, json_bytes
 
 __all__ = [
     "ServiceClient",
@@ -162,12 +164,11 @@ class ServiceClient:
         self._backoff = backoff
         self._max_backoff = max_backoff
         self._sleep = sleep
+        self._authority = f"{host}:{port}"
         self._local = threading.local()
         # Weak: a thread's connection lives as long as its thread-local
         # holder, so a finished thread leaves no socket behind.
-        self._connections: "weakref.WeakSet[http.client.HTTPConnection]" = (
-            weakref.WeakSet()
-        )
+        self._connections: "weakref.WeakSet[_Connection]" = weakref.WeakSet()
         self._connections_lock = threading.Lock()
 
     def close(self) -> None:
@@ -302,50 +303,41 @@ class ServiceClient:
         *,
         extra_headers: Optional[Dict[str, str]] = None,
     ) -> Any:
-        blob = json.dumps(body).encode("utf-8") if body is not None else None
-        headers = {"Content-Type": "application/json"} if blob else {}
-        if extra_headers:
-            headers.update(extra_headers)
+        blob = json_bytes(body) if body is not None else b""
+        message = encode_request(method, path, self._authority, blob, extra_headers)
         connection = self._connection()
+        idempotent = is_idempotent(method, path)
         reused = connection.sock is not None
-        if reused and _peer_closed(connection.sock):
+        if reused and not idempotent and _peer_closed(connection.sock):
             connection.close()  # the server closed it while idle
             reused = False
         try:
-            response, raw = _exchange(connection, method, path, blob, headers)
+            status, headers, raw = connection.exchange(message)
         except ConnectionError:
             # A reused connection can still lose a race with the server's
             # idle close; resend only what is safe to send twice.
-            if not (reused and is_idempotent(method, path)):
+            if not (reused and idempotent):
                 raise
-            response, raw = _exchange(connection, method, path, blob, headers)
-        text = raw.decode("utf-8", "replace")
-        content_type = response.getheader("Content-Type", "")
-        if response.status == 200 and not content_type.startswith(
-            "application/json"
-        ):
-            return text  # /metrics answers Prometheus text, not JSON
+            status, headers, raw = connection.exchange(message)
+        if status == 200 and "application/json" not in headers.get("content-type", ""):
+            return raw.decode("utf-8", "replace")  # /metrics answers Prometheus text
         try:
-            payload = json.loads(raw.decode("utf-8"))
+            payload = json.loads(raw)
         except ValueError:
-            payload = {"error": text}
-        if response.status == 429:
+            payload = {"error": raw.decode("utf-8", "replace")}
+        if status == 429:
             raise ServiceOverloadedError(
-                response.status,
-                payload,
-                retry_after=_parse_retry_after(response.getheader("Retry-After")),
+                status, payload, retry_after=_parse_retry_after(headers.get("retry-after"))
             )
-        if response.status != 200:
-            raise ServiceError(response.status, payload)
+        if status != 200:
+            raise ServiceError(status, payload)
         return payload
 
-    def _connection(self) -> http.client.HTTPConnection:
+    def _connection(self) -> "_Connection":
         """This thread's persistent connection (opened on first send)."""
         holder = getattr(self._local, "holder", None)
         if holder is None:
-            connection = http.client.HTTPConnection(
-                self._host, self._port, timeout=self._timeout
-            )
+            connection = _Connection((self._host, self._port), self._timeout)
             holder = self._local.holder = _ThreadConnection(connection)
             # The thread-local drops the holder when its thread ends (or
             # on close()): close the socket then.
@@ -355,28 +347,58 @@ class ServiceClient:
         return holder.connection
 
 
+class _Connection:
+    """A blocking HTTP/1.1 connection: one ``sendall`` per request, then
+    the status line, headers, and ``Content-Length`` body of the answer.
+    Reopened on the next request after the server or a failure closed it."""
+
+    def __init__(self, address: Tuple[str, int], timeout: float) -> None:
+        self._address, self._timeout = address, timeout
+        self.sock: Optional[socket.socket] = None
+        self._stream: Any = None
+
+    def exchange(self, message: bytes) -> Tuple[int, Dict[str, str], bytes]:
+        """``(status, headers, body)`` of one request; closes on any failure."""
+        if self.sock is None:
+            self.sock = socket.create_connection(self._address, self._timeout)
+            self.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            self._stream = self.sock.makefile("rb")
+        try:
+            self.sock.sendall(message)
+            status_line = self._stream.readline()
+            parts = status_line.split(None, 2)
+            if len(parts) < 2 or not parts[1].isdigit():
+                raise ConnectionError(f"bad status line {status_line!r}")
+            headers: Dict[str, str] = {}
+            while True:
+                line = self._stream.readline()
+                if line in (b"\r\n", b"\n", b""):
+                    break
+                name, _, value = line.decode("latin-1").partition(":")
+                headers[name.strip().lower()] = value.strip()
+            length = int(headers.get("content-length", 0))
+            body = self._stream.read(length)
+            if len(body) < length:
+                raise ConnectionError(f"response body cut at {len(body)} of {length} bytes")
+        except BaseException:
+            self.close()
+            raise
+        if parts[0] != b"HTTP/1.1" or headers.get("connection", "").lower() == "close":
+            self.close()
+        return int(parts[1]), headers, body
+
+    def close(self) -> None:
+        if self.sock is not None:
+            self._stream.close()
+            self.sock.close()
+            self.sock = self._stream = None
+
+
 class _ThreadConnection:
     """One thread's connection, held only by that thread's thread-local."""
 
-    def __init__(self, connection: http.client.HTTPConnection) -> None:
+    def __init__(self, connection: _Connection) -> None:
         self.connection = connection
-
-
-def _exchange(
-    connection: http.client.HTTPConnection,
-    method: str,
-    path: str,
-    blob: Optional[bytes],
-    headers: Dict[str, str],
-) -> Tuple[http.client.HTTPResponse, bytes]:
-    """One request/response on ``connection``; closes it on any failure."""
-    try:
-        connection.request(method, path, body=blob, headers=headers)
-        response = connection.getresponse()
-        return response, response.read()
-    except BaseException:
-        connection.close()
-        raise
 
 
 def _peer_closed(sock: Any) -> bool:

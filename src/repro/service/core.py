@@ -23,7 +23,7 @@ the one the benchmark's parity gate enforces.
 
 from __future__ import annotations
 
-import copy
+import json
 import threading
 from dataclasses import asdict, dataclass
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Union
@@ -37,6 +37,7 @@ from repro.obs.trace import SlowQueryLog, activate, current_trace, new_trace, sp
 from repro.service.cache import ResultCache, cache_key
 from repro.service.catalog import GraphCatalog
 from repro.service.coalesce import SingleFlightBatcher
+from repro.service.http import json_bytes
 from repro.service.store import SharedResultStore
 from repro.utils.timers import Timer
 from repro.utils.validation import check_positive_int
@@ -214,7 +215,8 @@ class ReliabilityService:
         timeout: Optional[float] = None,
         timings: bool = False,
     ) -> Dict[str, Any]:
-        """Answer one query on the named graph; returns the JSON payload.
+        """Answer one query on the named graph; returns the JSON payload
+        (decoded afresh from the answer's bytes, so it is the caller's own).
 
         Cache hits return immediately; misses coalesce with identical
         in-flight requests and ride the next micro-batch.  Evaluation
@@ -233,13 +235,14 @@ class ReliabilityService:
         """
         outcome = self.begin_query(graph, query, timings=timings)
         if isinstance(outcome, PendingQuery):
-            return self.finish_query(outcome, timeout=timeout)
-        return outcome
+            outcome = self.finish_query(outcome, timeout=timeout)
+        return json.loads(outcome)
 
     def begin_query(
         self, graph: str, query: QueryLike, *, timings: bool = False
-    ) -> Union[Dict[str, Any], "PendingQuery"]:
-        """The first half of :meth:`query`: the answer on a memory-cache hit.
+    ) -> Union[bytes, "PendingQuery"]:
+        """The first half of :meth:`query`: the answer's JSON bytes on a
+        memory-cache hit.
 
         Prepares the request and probes the memory cache — never sqlite
         or the engine, so the server runs it on its event loop.  A miss
@@ -252,8 +255,8 @@ class ReliabilityService:
         try:
             with span("service.lookup"):
                 request = self._prepare(graph, query)
-                payload = (
-                    self._cache.get(request.key) if self._cache is not None else None
+                blob = (
+                    self._cache.get_blob(request.key) if self._cache is not None else None
                 )
         except Exception:
             with self._stats_lock:
@@ -261,54 +264,56 @@ class ReliabilityService:
                 self._stats.errors += 1
             raise
         pending = PendingQuery(graph, request, timer, timings)
-        if payload is None:
+        if blob is None:
             return pending
         with self._stats_lock:
             self._stats.requests += 1
         self._count_hit("memory")
-        return self._finish(pending, self._respond(payload, tier="memory", graph=graph))
+        return self._finish(pending, blob, "memory")
 
     def finish_query(
         self, pending: "PendingQuery", *, timeout: Optional[float] = None
-    ) -> Dict[str, Any]:
+    ) -> bytes:
         """The second half of :meth:`query`: shared store, then the engine."""
-        graph, request = pending.graph, pending.request
+        request = pending.request
         with self._stats_lock:
             self._stats.requests += 1
         try:
-            payload, tier = None, None
+            blob, tier, spans = None, None, []
             if self._store is not None:
                 with span("service.lookup"):
-                    payload, tier = self._lookup_store(request.key)
-            if payload is not None:
+                    blob, tier = self._lookup_store(request.key)
+            if blob is not None:
                 self._count_hit(tier)
-                response = self._respond(payload, tier=tier, graph=graph)
             else:
-                future = self._batcher.submit(graph, request.key, request.query)
+                future = self._batcher.submit(pending.graph, request.key, request.query)
                 with span("service.wait"):
-                    payload = future.result(timeout=timeout)
-                response = self._respond(payload, tier=None, graph=graph)
+                    blob, spans = future.result(timeout=timeout)
         except Exception:
             with self._stats_lock:
                 self._stats.errors += 1
             raise
-        return self._finish(pending, response)
+        return self._finish(pending, blob, tier, spans)
 
-    def _finish(self, pending: "PendingQuery", response: Dict[str, Any]) -> Dict[str, Any]:
-        """Slow-query log and ``timings`` section of one answered query."""
+    def _finish(
+        self, pending: "PendingQuery", blob: bytes, tier: Optional[str], spans: Sequence[Any] = ()
+    ) -> bytes:
+        """Slow-query log, then the answer with its ``timings`` section —
+        which holds the evaluation's spans, measured on the batcher thread."""
         elapsed = pending.timer.stop()
         trace = current_trace()
+        if spans and trace is not None:
+            trace.extend(spans)
         if self._slow_query_log is not None:
             self._slow_query_log.record(
                 graph=pending.graph,
                 kind=pending.request.query.kind,
                 elapsed_seconds=elapsed,
                 trace_id=trace.trace_id if trace is not None else None,
-                cached=response["cached"],
+                cached=tier is not None,
             )
-        if pending.timings and trace is not None:
-            response["timings"] = trace.to_dict()
-        return response
+        timings = trace.to_dict() if pending.timings and trace is not None else None
+        return _respond(blob, tier=tier, graph=pending.graph, timings=timings)
 
     def query_batch(
         self,
@@ -340,10 +345,10 @@ class ReliabilityService:
         for position, request in enumerate(requests):
             if request is None:
                 continue
-            payload, tier = self._lookup(request.key)
-            if payload is not None:
+            blob, tier = self._lookup(request.key)
+            if blob is not None:
                 self._count_hit(tier)
-                outcomes[position] = self._respond(payload, tier=tier, graph=graph)
+                outcomes[position] = json.loads(_respond(blob, tier=tier, graph=graph))
             else:
                 futures[position] = self._batcher.submit(
                     graph, request.key, request.query
@@ -352,9 +357,8 @@ class ReliabilityService:
             if future is None:
                 continue
             try:
-                outcomes[position] = self._respond(
-                    future.result(timeout=timeout), tier=None, graph=graph
-                )
+                blob, _ = future.result(timeout=timeout)  # a batch has no timings
+                outcomes[position] = json.loads(_respond(blob, tier=None, graph=graph))
             except Exception as error:
                 outcomes[position] = _error_payload(error)
                 with self._stats_lock:
@@ -474,25 +478,26 @@ class ReliabilityService:
         return self._Request(query, key)
 
     def _lookup(self, key: Any):
-        """``(payload, tier)`` from memory then the shared store, else ``(None, None)``.
+        """``(JSON bytes, tier)`` from memory then the shared store, else
+        ``(None, None)``.
 
         A shared-store hit is promoted into the memory cache so repeats in
         this process stay off sqlite.
         """
         if self._cache is not None:
-            payload = self._cache.get(key)
-            if payload is not None:
-                return payload, "memory"
+            blob = self._cache.get_blob(key)
+            if blob is not None:
+                return blob, "memory"
         return self._lookup_store(key)
 
     def _lookup_store(self, key: Any):
-        """``(payload, "shared")`` from the shared store, else ``(None, None)``."""
+        """``(JSON bytes, "shared")`` from the shared store, else ``(None, None)``."""
         if self._store is not None:
-            payload = self._store.get(key)
-            if payload is not None:
+            blob = self._store.get_blob(key)
+            if blob is not None:
                 if self._cache is not None:
-                    self._cache.put(key, payload)
-                return payload, "shared"
+                    self._cache.put(key, blob)
+                return blob, "shared"
         return None, None
 
     def _count_hit(self, tier: Optional[str]) -> None:
@@ -500,29 +505,6 @@ class ReliabilityService:
             self._stats.cache_hits += 1
             if tier == "shared":
                 self._stats.shared_store_hits += 1
-
-    @staticmethod
-    def _respond(
-        payload: Dict[str, Any], *, tier: Optional[str], graph: str
-    ) -> Dict[str, Any]:
-        # Deep copy: callers may mutate the response, and the payload (its
-        # nested "result" dict included) is shared with the cache and with
-        # coalesced waiters.  The graph name is stamped per request — the
-        # cache key is content-based, so a hit may have been computed under
-        # a different catalog name for the same graph.
-        response = copy.deepcopy(payload)
-        # Evaluation spans measured on the batcher thread ride the outcome
-        # (never the cached payload); stitch them into this request's trace
-        # and drop them from the JSON response.
-        spans = response.pop("_spans", None)
-        if spans:
-            trace = current_trace()
-            if trace is not None:
-                trace.extend(spans)
-        response["cached"] = tier is not None
-        response["cache_tier"] = tier
-        response["graph"] = graph
-        return response
 
     def _evaluate_group(self, group: str, items: Sequence[Any]) -> List[Any]:
         """Evaluate one drained micro-batch on the group's shared engine.
@@ -581,25 +563,40 @@ class ReliabilityService:
             if isinstance(result, Exception):
                 outcomes.append(result)
                 continue
-            payload = {
-                "graph": group,
+            # The graph name is left out: each answer stamps its own (the
+            # key is content-based, so a hit may come under another name).
+            blob = json_bytes({
                 "graph_fingerprint": fingerprint,
                 "config_fingerprint": self._config_fingerprint,
                 "kind": type(result).kind,
                 "checksum": results_checksum([result]),
                 "result": result.to_dict(),
-            }
+            })
             # Re-derive the storage key from the *current* fingerprint —
             # the submitted key may predate a graph update.
             key = cache_key(
                 fingerprint, query.canonical_key(), self._config_fingerprint
             )
             if self._cache is not None:
-                self._cache.put(key, payload)
+                self._cache.put(key, blob)
             if self._store is not None:
-                self._store.put(key, payload)
-            outcomes.append({**payload, "_spans": spans} if spans else payload)
+                self._store.put(key, blob)
+            outcomes.append((blob, spans))
         return outcomes
+
+
+def _respond(
+    blob: bytes, *, tier: Optional[str], graph: str, timings: Optional[Dict[str, Any]] = None
+) -> bytes:
+    """One answer's JSON: a payload's cached or fresh bytes with this
+    request's fields spliced in — no copy of the payload, no re-encode."""
+    parts = [b'{"graph":', json_bytes(graph), b",", blob[1:-1]]
+    parts.append(b',"cached":true,"cache_tier":' if tier else b',"cached":false,"cache_tier":')
+    parts.append(json_bytes(tier))
+    if timings is not None:
+        parts += [b',"timings":', json_bytes(timings)]
+    parts.append(b"}")
+    return b"".join(parts)
 
 
 def _error_payload(error: Exception) -> Dict[str, Any]:

@@ -2,7 +2,8 @@
 
 Stdlib asyncio only; bodies carry a ``Content-Length`` (no chunked
 encoding) and answers are JSON or Prometheus text.  Here live the
-request reader (:data:`MAX_BODY_BYTES` limit → 413), the response writer
+request reader (:data:`MAX_BODY_BYTES` limit → 413), the request framer
+the router's upstream and the blocking client share, the response writer
 (``Retry-After`` on 429), and :class:`HttpServer` — lifecycle, metering,
 and the keep-alive loop that ``ServiceServer`` and ``Router`` subclass —
 plus the router's :class:`UpstreamPool` of idle connections.
@@ -33,7 +34,8 @@ from repro.obs.metrics import PROMETHEUS_CONTENT_TYPE, MetricsRegistry
 
 __all__ = [
     "BadRequest", "HttpServer", "IO_TIMEOUT", "MAX_BODY_BYTES", "Request",
-    "UpstreamPool", "encode_response", "is_idempotent", "json_body", "read_request",
+    "UpstreamPool", "encode_request", "encode_response", "is_idempotent", "json_body",
+    "json_bytes", "read_request",
 ]
 
 #: Largest request body a server will buffer (a query batch of thousands
@@ -158,13 +160,29 @@ async def read_request(reader: asyncio.StreamReader) -> Optional[Request]:
         return None  # idle: no request line arrived
 
 
+def json_bytes(payload: Any) -> bytes:
+    """``payload`` as compact JSON bytes: the one form answers are stored and sent in."""
+    return json.dumps(payload, separators=(",", ":"), default=repr).encode("utf-8")
+
+
+def encode_request(
+    method: str, path: str, host: str, body: bytes = b"", headers: Optional[Dict[str, str]] = None
+) -> bytes:
+    """One request's bytes; a non-empty ``body`` is sent as JSON."""
+    lines = [f"{method} {path} HTTP/1.1", f"Host: {host}"]
+    lines += [f"{name}: {value}" for name, value in (headers or {}).items()]
+    if body:
+        lines += ["Content-Type: application/json", f"Content-Length: {len(body)}"]
+    return ("\r\n".join(lines) + "\r\n\r\n").encode("ascii") + body
+
+
 def encode_response(status: int, payload: Any, *, keep_alive: bool = True) -> bytes:
-    """One response's bytes: JSON, or Prometheus text for a ``str`` payload."""
+    """One response's bytes: Prometheus text for a ``str``, else JSON (``bytes`` as is)."""
     if isinstance(payload, str):
         blob = payload.encode("utf-8")
         content_type = PROMETHEUS_CONTENT_TYPE
     else:
-        blob = json.dumps(payload, default=repr).encode("utf-8")
+        blob = payload if isinstance(payload, bytes) else json_bytes(payload)
         content_type = "application/json"
     lines = [
         f"HTTP/1.1 {status} {_REASONS.get(status, 'Unknown')}",
@@ -397,14 +415,10 @@ class UpstreamPool:
     ) -> Tuple[int, Any]:
         """One exchange with ``endpoint``: ``(status, parsed JSON)``.
 
-        With ``raw`` the body comes back as decoded text instead (the
-        ``/metrics`` scrape, which answers Prometheus text).
+        With ``raw`` the body comes back as the bytes received instead
+        (forwarded answers, and the ``/metrics`` scrape's text).
         """
-        lines = [f"{method} {path} HTTP/1.1", f"Host: {endpoint}"]
-        lines += [f"{name}: {value}" for name, value in (headers or {}).items()]
-        if body:
-            lines += ["Content-Type: application/json", f"Content-Length: {len(body)}"]
-        message = ("\r\n".join(lines) + "\r\n\r\n").encode("ascii") + body
+        message = encode_request(method, path, endpoint, body, headers)
         answer = None
         connection = self._take(endpoint)
         if connection is not None:
@@ -426,7 +440,7 @@ class UpstreamPool:
             answer = await self._exchange(endpoint, connection, message)
         status, blob = answer
         if raw:
-            return status, blob.decode("utf-8", "replace")
+            return status, blob
         try:
             return status, json.loads(blob.decode("utf-8"))
         except ValueError:

@@ -37,7 +37,9 @@ which owns reading, framing, metering, and the connection loop): the
 blocking :class:`~repro.service.client.ServiceClient` keeps one
 connection per thread open across calls.  A ``/query`` whose answer sits
 in the memory cache is answered on the event loop without the thread-pool
-hop; shared-store and engine work stay on the pool.
+hop; shared-store and engine work stay on the pool.  Either way an
+answer is encoded once, when first evaluated: it leaves as its cached
+JSON bytes with the request's own fields spliced in.
 """
 
 from __future__ import annotations
@@ -243,7 +245,7 @@ class ServiceServer(HttpServer):
                 )
         except ReproError as error:
             return 400, _error(error)
-        if isinstance(outcome, dict):
+        if isinstance(outcome, bytes):
             return 200, outcome
         return await self._admitted(lambda: run_with_trace(
             trace, self._service.finish_query, outcome, timeout=self._request_timeout

@@ -32,9 +32,10 @@ import sqlite3
 import threading
 import time
 from dataclasses import asdict, dataclass
-from typing import Any, Dict, Optional
+from typing import Any, Dict, Optional, Union
 
 from repro.service.cache import CacheKey
+from repro.service.http import json_bytes
 
 __all__ = ["SharedResultStore", "StoreStats"]
 
@@ -139,6 +140,11 @@ class SharedResultStore:
     # ------------------------------------------------------------------
     def get(self, key: CacheKey) -> Optional[Dict[str, Any]]:
         """The stored payload for ``key``, or ``None`` (miss or error)."""
+        blob = self.get_blob(key)
+        return None if blob is None else json.loads(blob)
+
+    def get_blob(self, key: CacheKey) -> Optional[bytes]:
+        """The stored payload's JSON bytes for ``key``, or ``None`` (miss or error)."""
         with self._lock:
             if self._connection is None:
                 self._stats.misses += 1
@@ -159,36 +165,34 @@ class SharedResultStore:
             try:
                 payload = json.loads(row[0])
             except ValueError:
-                # A torn or tampered row: drop it and recompute.
+                payload = None
+            # Answers are served as these bytes, with the graph name
+            # stamped per request: anything but a JSON object without one
+            # is a torn, tampered, or outdated row — drop it and recompute.
+            if not isinstance(payload, dict) or "graph" in payload:
                 self._stats.errors += 1
                 self._stats.misses += 1
                 self._discard(self._connection, key)
                 return None
             self._stats.hits += 1
-            return payload
+            return row[0].encode("utf-8")
 
-    def put(self, key: CacheKey, payload: Dict[str, Any]) -> bool:
-        """Persist ``payload`` under ``key``; returns whether it was stored.
+    def put(self, key: CacheKey, payload: Union[Dict[str, Any], bytes]) -> bool:
+        """Persist ``payload`` (or its :func:`~repro.service.http.json_bytes`)
+        under ``key``; returns whether it was stored.
 
         ``INSERT OR REPLACE``: replicas racing to store the same key write
         identical bytes (determinism contract), so last-writer-wins is not
         a conflict, just redundancy.
         """
-        try:
-            blob = json.dumps(payload, separators=(",", ":"))
-        except (TypeError, ValueError):
-            # Counter mutation needs the lock even on this early-out path
-            # (LOCK001): other threads increment the same stats under it.
-            with self._lock:
-                self._stats.errors += 1
-            return False
+        blob = payload if isinstance(payload, bytes) else json_bytes(payload)
         with self._lock:
             if self._connection is None:
                 return False
             try:
                 self._connection.execute(
                     "INSERT OR REPLACE INTO results VALUES (?, ?, ?, ?, ?)",
-                    (*key, blob, time.time()),
+                    (*key, blob.decode("utf-8"), time.time()),
                 )
                 self._connection.commit()
             except sqlite3.Error:

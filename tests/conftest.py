@@ -10,6 +10,12 @@ from repro.graph.generators import random_connected_graph
 from repro.graph.uncertain_graph import UncertainGraph
 
 
+def pytest_configure(config) -> None:
+    config.addinivalue_line(
+        "markers", "live: starts real server processes (CI runs these as smoke jobs)"
+    )
+
+
 @pytest.fixture
 def triangle_graph() -> UncertainGraph:
     """A 3-cycle with distinct probabilities (hand-checkable)."""

@@ -114,6 +114,25 @@ class TestSharedResultStore:
         assert store.get(key) is None
         assert not store.put(key, {"a": 2})
 
+    @pytest.mark.parametrize(
+        "row",
+        ['{"kind":"k-ter', "[1, 2]", '{"graph":"karate","kind":"k-terminal"}'],
+        ids=["torn", "not-an-object", "stored-graph-name"],
+    )
+    def test_unservable_row_is_dropped_as_a_miss(self, tmp_path, row):
+        """Rows are served as stored bytes: anything but a JSON object
+        without a graph name (stamped per request) is recomputed."""
+        path = str(tmp_path / "s.sqlite")
+        key = cache_key("g", "q", "c")
+        with SharedResultStore(path) as store:
+            store.put(key, {"kind": "k-terminal"})
+            store._connection.execute("UPDATE results SET payload = ?", (row,))
+            store._connection.commit()
+            assert store.get_blob(key) is None
+            assert len(store) == 0
+            stats = store.stats()
+        assert (stats.hits, stats.misses, stats.errors) == (0, 1, 1)
+
     def test_second_service_instance_reuses_answers(self, tmp_path):
         """A fresh service over the same store answers from the shared tier."""
         config = EstimatorConfig(backend="sampling", samples=200, rng=7)

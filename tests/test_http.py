@@ -5,7 +5,10 @@ Keep-alive on the server side (two requests on one socket,
 upstream pool (reconnecting after a replica restart, never resending an
 update), the router's own framing (413, ``Retry-After``), connection
 counters, memory-cache hits answered on the event loop outside admission
-control, and client connections closed when their thread ends.
+control, and client connections closed when their thread ends.  Then the
+encode-once byte path: a routed answer is the replica's plus
+``served_by``, one liveness read per forward, and the blocking client
+against a raw-socket peer scripted to misbehave.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from repro.cluster import ClusterClient, Router
 from repro.datasets import load_dataset
 from repro.engine import EstimatorConfig
 from repro.engine.queries import KTerminalQuery
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import PROMETHEUS_CONTENT_TYPE, MetricsRegistry
 from repro.service import (
     GraphCatalog,
     ReliabilityService,
@@ -31,6 +34,7 @@ from repro.service import (
     ServiceOverloadedError,
     ServiceServer,
 )
+from repro.service import client as repro_client
 from repro.service import http as repro_http
 from repro.service.http import MAX_BODY_BYTES, UpstreamPool
 
@@ -60,11 +64,13 @@ class _FakeSupervisor:
     def __init__(self, endpoints):
         self.endpoints = dict(endpoints)
         self.failures = []
+        self.live_reads = 0
 
     def keys(self):
         return sorted(self.endpoints)
 
     def live_endpoints(self):
+        self.live_reads += 1
         return dict(self.endpoints)
 
     def notify_failure(self, member):
@@ -83,12 +89,9 @@ def _raw_request(path: str, *, version: str = "HTTP/1.1", extra: str = "") -> by
     return f"GET {path} {version}\r\nHost: test\r\n{extra}\r\n".encode("ascii")
 
 
-def _read_response(stream):
-    """``(status, headers, body)`` of one response read off a socket file."""
-    status_line = stream.readline()
-    if not status_line:
-        return None
-    status = int(status_line.split()[1])
+def _read_head(stream):
+    """``(first line, headers)`` of one message read off a socket file."""
+    first_line = stream.readline()
     headers = {}
     while True:
         line = stream.readline().decode("ascii").strip()
@@ -96,8 +99,70 @@ def _read_response(stream):
             break
         name, _, value = line.partition(":")
         headers[name.strip().lower()] = value.strip()
+    return first_line, headers
+
+
+def _read_response(stream):
+    """``(status, headers, body)`` of one response read off a socket file."""
+    status_line, headers = _read_head(stream)
+    if not status_line:
+        return None
     body = stream.read(int(headers.get("content-length", 0)))
-    return status, headers, body
+    return int(status_line.split()[1]), headers, body
+
+
+def _reply(status, body, *, headers="", length=None, content_type="application/json"):
+    """A canned response; ``length`` may overstate the body (a truncation)."""
+    length = len(body) if length is None else length
+    head = (
+        f"HTTP/1.1 {status} Canned\r\nContent-Type: {content_type}\r\n"
+        f"Content-Length: {length}\r\n{headers}\r\n"
+    )
+    return head.encode("ascii") + body
+
+
+class _ScriptedPeer:
+    """A raw-socket HTTP server answering each request with canned bytes.
+
+    ``replies`` holds one ``(bytes, then)`` per request, in order: after
+    sending, ``"keep"`` reads the next request on the same socket,
+    ``"close"`` closes it, and ``"await-eof"`` waits for the client to
+    close its side and sets :attr:`client_closed`.
+    """
+
+    def __init__(self, replies):
+        self.replies = list(replies)
+        self.connections = 0
+        self.client_closed = threading.Event()
+        self._listener = socket.create_server(("127.0.0.1", 0))
+        self._listener.settimeout(10)  # a failed test leaves replies unsent
+        self.port = self._listener.getsockname()[1]
+        self._thread = threading.Thread(target=self._serve, daemon=True)
+        self._thread.start()
+
+    def _serve(self):
+        try:
+            while self.replies:
+                sock, _ = self._listener.accept()
+                sock.settimeout(10)
+                self.connections += 1
+                with sock, sock.makefile("rb") as stream:
+                    then = "keep"
+                    while then == "keep" and self.replies:
+                        request_line, headers = _read_head(stream)
+                        if not request_line:
+                            break
+                        stream.read(int(headers.get("content-length", 0)))
+                        reply, then = self.replies.pop(0)
+                        sock.sendall(reply)
+                    if then == "await-eof" and stream.read() == b"":
+                        self.client_closed.set()
+        except OSError:
+            pass  # the listener was closed, or a socket or accept timed out
+
+    def close(self):
+        self._listener.close()
+        self._thread.join(timeout=15)
 
 
 def _responses_total(registry: MetricsRegistry) -> float:
@@ -377,3 +442,135 @@ class TestRouterConnections:
             router.close()
             replica.shutdown()
             replica.server_close()
+
+
+# ----------------------------------------------------------------------
+# The encode-once byte path
+# ----------------------------------------------------------------------
+class TestBytePath:
+    def test_routed_answer_is_replica_answer_plus_served_by(self, served):
+        server, _, _ = served
+        router = _router_over(f"127.0.0.1:{server.port}")
+        forwarded = []  # the replica's answers, as the router received them
+        original = router._pool.request
+
+        async def recording(*args, **kwargs):
+            status, answer = await original(*args, **kwargs)
+            if isinstance(answer, bytes):
+                forwarded.append(json.loads(answer))
+            return status, answer
+
+        router._pool.request = recording
+        query = KTerminalQuery(terminals=(3, 29))
+        try:
+            with ServiceClient("127.0.0.1", router.port) as client:
+                routed = [client.query("karate", query).raw for _ in range(2)]
+            with ServiceClient("127.0.0.1", server.port) as client:
+                direct_hit = client.query("karate", query).raw
+        finally:
+            router.close()
+        assert [answer["cached"] for answer in forwarded] == [False, True]
+        for routed_answer, replica_answer in zip(routed, forwarded):
+            assert routed_answer == {**replica_answer, "served_by": "replica-0"}
+            assert list(routed_answer) == [*replica_answer, "served_by"]
+        assert forwarded[1] == direct_hit  # a hit is the same bytes either way
+
+    def test_traced_answer_through_router_leads_with_router_forward(self, served):
+        server, _, _ = served
+        router = _router_over(f"127.0.0.1:{server.port}")
+        query = KTerminalQuery(terminals=(7, 26))
+        try:
+            with ClusterClient(port=router.port) as client:
+                answers = [
+                    client.query("karate", query, timings=True, trace_id="ab12cd34")
+                    for _ in range(2)
+                ]
+        finally:
+            router.close()
+        assert [answer.cached for answer in answers] == [False, True]
+        for answer in answers:
+            timings = answer.raw["timings"]
+            assert timings["trace_id"] == "ab12cd34"
+            assert timings["spans"][0]["name"] == "router.forward"
+            assert answer.raw["served_by"] == "replica-0"
+
+    def test_one_liveness_read_per_forward(self, served):
+        server, _, _ = served
+        supervisor = _FakeSupervisor({"replica-0": f"127.0.0.1:{server.port}"})
+        router = Router(supervisor, registry=MetricsRegistry()).start_background()
+        try:
+            with ClusterClient(port=router.port) as client:
+                client.query("karate", KTerminalQuery(terminals=(1, 34)))  # learns fingerprints
+                before = supervisor.live_reads
+                client.query("karate", KTerminalQuery(terminals=(1, 34)))  # a hit
+                client.query("karate", KTerminalQuery(terminals=(8, 25)))  # a miss
+            assert supervisor.live_reads - before == 2
+        finally:
+            router.close()
+
+    def test_client_checks_for_peer_close_only_before_an_update(self, served, monkeypatch):
+        server, _, _ = served
+        checks = []
+        original = repro_client._peer_closed
+        monkeypatch.setattr(
+            repro_client, "_peer_closed", lambda sock: checks.append(sock) or original(sock)
+        )
+        with ServiceClient("127.0.0.1", server.port) as client:
+            client.healthz()
+            for _ in range(2):
+                client.query("karate", KTerminalQuery(terminals=(1, 34)))
+            client.update("karate", DELTA)
+        assert len(checks) == 1
+
+
+class TestClientFaults:
+    """The blocking client against a raw-socket peer scripted to misbehave."""
+
+    def test_truncated_body_raises_instead_of_hanging(self):
+        peer = _ScriptedPeer([(_reply(200, b'{"status":', length=100), "close")])
+        try:
+            with ServiceClient("127.0.0.1", peer.port, timeout=30) as client:
+                started = time.monotonic()
+                with pytest.raises(ConnectionError):
+                    client.healthz()
+            assert time.monotonic() - started < 5.0
+        finally:
+            peer.close()
+
+    def test_connection_close_reply_closes_the_socket(self):
+        peer = _ScriptedPeer([
+            (_reply(200, b'{"status":"ok"}', headers="Connection: close\r\n"), "await-eof"),
+            (_reply(200, b'{"status":"again"}'), "keep"),
+        ])
+        try:
+            with ServiceClient("127.0.0.1", peer.port, timeout=30) as client:
+                assert client.healthz() == {"status": "ok"}
+                assert peer.client_closed.wait(5)
+                assert client.healthz() == {"status": "again"}
+            assert peer.connections == 2
+        finally:
+            peer.close()
+
+    def test_429_keeps_retry_after(self):
+        peer = _ScriptedPeer(
+            [(_reply(429, b'{"error":"busy"}', headers="Retry-After: 7\r\n"), "keep")]
+        )
+        try:
+            with ServiceClient("127.0.0.1", peer.port, timeout=30) as client:
+                with pytest.raises(ServiceOverloadedError) as excinfo:
+                    client.query("karate", KTerminalQuery(terminals=(1, 34)))
+            assert excinfo.value.retry_after == 7.0
+            assert excinfo.value.payload == {"error": "busy"}
+        finally:
+            peer.close()
+
+    def test_metrics_text_comes_back_as_str(self):
+        text = "# TYPE repro_up gauge\nrepro_up 1\n"
+        peer = _ScriptedPeer(
+            [(_reply(200, text.encode(), content_type=PROMETHEUS_CONTENT_TYPE), "keep")]
+        )
+        try:
+            with ServiceClient("127.0.0.1", peer.port, timeout=30) as client:
+                assert client.metrics() == text
+        finally:
+            peer.close()

@@ -450,6 +450,19 @@ class TestReliabilityService:
             second = service.query("karate", query)
         assert second["result"]["estimate"]["reliability"] == original
 
+    def test_miss_and_hit_return_equal_answers(self, catalog):
+        """A fresh answer and its cached bytes decode to the same payload,
+        keys in the same order; only the per-request cache fields differ."""
+        query = KTerminalQuery(terminals=(2, 33))
+        with ReliabilityService(catalog) as service:
+            miss = service.query("karate", query)
+            hit = service.query("karate", query)
+        assert (miss["cached"], miss["cache_tier"]) == (False, None)
+        assert (hit["cached"], hit["cache_tier"]) == (True, "memory")
+        assert list(miss) == list(hit)
+        assert {**miss, "cached": True, "cache_tier": "memory"} == hit
+        assert miss["graph"] == "karate"
+
     def test_prepare_failures_counted_consistently(self, catalog):
         with ReliabilityService(catalog) as service:
             with pytest.raises(ConfigurationError):
